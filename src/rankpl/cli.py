@@ -10,7 +10,8 @@ tokens integer values.  ``--format records`` emits one JSON object per line,
 lines.
 
 Exit codes: 0 success, 1 failure ranking, 2 parse error, 3 runtime error,
-4 input/output error.
+4 input/output error, 5 internal error (an unexpected exception in the
+interpreter itself).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ EXIT_FAILED = 1
 EXIT_PARSE = 2
 EXIT_RUNTIME = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 
 class InputError(Exception):
@@ -345,7 +347,11 @@ def main(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     args = build_arg_parser().parse_args(argv)
-    return args.handler(args, out, err)
+    try:
+        return args.handler(args, out, err)
+    except Exception as exc:  # a crash must never read as a program's result
+        err.write(f"internal error: {exc!r}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

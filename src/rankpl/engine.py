@@ -1,8 +1,12 @@
 """Most-plausible-first outcome enumeration.
 
-Runs a program repeatedly under a growing rank budget, pruning every choice
-alternative whose accumulated rank exceeds the budget, and emits outcomes in
-ascending rank order as soon as they are provably final.
+A bounded run (finite ``max_rank`` or ``max_outcomes``) runs the program
+repeatedly under a growing rank budget, pruning every choice alternative
+whose accumulated rank exceeds the budget, and emits outcomes in ascending
+rank order as soon as they are provably final.  An unbounded run wants every
+outcome, so it runs once at infinite budget, which prunes nothing, and emits
+the sorted result only when the whole program has run: a runtime error
+anywhere in it ends the stream before the first outcome.
 
 Each budget round computes a truncated ranking together with an exactness
 bound: the entries at or below the bound are exactly the reference result's
@@ -109,11 +113,13 @@ class _Partial:
     there; whatever got pruned lives strictly above the bound.
     """
 
-    __slots__ = ("entries", "bound")
+    __slots__ = ("entries", "bound", "ranks")
 
     def __init__(self, entries: dict, bound):
         self.entries = entries
         self.bound = bound
+        # rank(b) values read against this ranking, keyed on the RankOf node
+        self.ranks = {}
 
     @property
     def proven_failure(self) -> bool:
@@ -158,20 +164,28 @@ def _eval_num(sigma: Valuation, partial: _Partial, e: NumExpr):
             indices.append(value)
         return sigma.get(e.name, tuple(indices))
     if isinstance(e, RankOf):
-        least = None
-        for state, rank in partial.entries.items():
-            if (least is None or rank < least) and _holds(state, partial, e.cond):
-                least = rank
-        if least is not None:
-            return least
-        if partial.bound is INF:
-            return INF
-        raise _InsufficientBudget  # the true rank hides above the bound
+        # the value depends on the ranking alone, so scan it once per node
+        value = partial.ranks.get(e)
+        if value is None:
+            value = partial.ranks[e] = _rank_of(partial, e.cond)
+        return value
     if isinstance(e, BinOp):
         left = _eval_num(sigma, partial, e.left)
         right = _eval_num(sigma, partial, e.right)
         return _apply_binop(e.op, left, right, e.pos)
     raise TypeError(f"not a numeric expression: {e!r}")
+
+
+def _rank_of(partial: _Partial, cond: BoolExpr):
+    least = None
+    for state, rank in partial.entries.items():
+        if (least is None or rank < least) and _holds(state, partial, cond):
+            least = rank
+    if least is not None:
+        return least
+    if partial.bound is INF:
+        return INF
+    raise _InsufficientBudget  # the true rank hides above the bound
 
 
 def _holds(sigma: Valuation, partial: _Partial, b: BoolExpr) -> bool:
@@ -395,7 +409,10 @@ def _stream(s: Stmt, opts: SearchOptions, state: dict):
     program = desugar(s, keep_observe_forms=True)
     emitted: set[Valuation] = set()
     count = 0
-    budget = 0
+    # with every outcome wanted, deepening would only replay the program;
+    # one round at infinite budget prunes nothing and is the exact result
+    unbounded = opts.max_rank is INF and opts.max_outcomes is None
+    budget = INF if unbounded else 0
     while True:
         ctx = _Round(budget, opts.max_while_iterations)
         try:
@@ -440,6 +457,12 @@ def enumerate_outcomes(s: Stmt, opts: SearchOptions | None = None) -> OutcomeStr
     whenever that run terminates without error.  Raises the evaluator's
     runtime errors, or :class:`BudgetExhaustedError` if a finite ``max_rank``
     cuts enumeration off before anything could be proven.
+
+    With a finite ``max_rank`` or a ``max_outcomes`` the program runs
+    repeatedly under a growing rank budget and outcomes stream out as soon
+    as they are proven, so a runtime error in a costlier alternative can
+    follow some outcomes.  Without either limit the program runs once,
+    exactly, and nothing is yielded before that run completes.
     """
     opts = opts or SearchOptions()
     state = {"failed": False}

@@ -139,7 +139,8 @@ def eval_num(sigma: Valuation, kappa: Ranking, e: NumExpr):
     if isinstance(e, Var):
         return sigma.get(e.name, _eval_indices(sigma, kappa, e.indices, e.pos))
     if isinstance(e, RankOf):
-        return rank_of_cond(kappa, e.cond)
+        # the value depends on kappa alone, so scan kappa once per node
+        return kappa.derived(e, lambda: rank_of_cond(kappa, e.cond))
     if isinstance(e, BinOp):
         left = eval_num(sigma, kappa, e.left)
         right = eval_num(sigma, kappa, e.right)

@@ -74,6 +74,38 @@ class TestRun:
         assert code == 3
         assert "division-by-zero" in err and "line 1" in err
 
+    def test_full_run_prints_nothing_before_a_runtime_error(self, tmp_path):
+        # the error sits in a rank-3 alternative: a full run executes the
+        # program once, exactly, so it fails before printing any outcome,
+        # while a --max-rank run streams the ranks it has proven
+        path = tmp_path / "late.rpl"
+        path.write_text(
+            "x := 0 or(1) 1; z := 2 or(3) 3; "
+            "if z == 3 then { y := 1 / 0; } else { skip; };\n"
+        )
+        code, out, err = run_cli(["run", str(path)])
+        assert code == 3
+        assert out == ""
+        assert "division-by-zero" in err
+        code, out, err = run_cli(["run", str(path), "--max-rank", "5"])
+        assert code == 3
+        assert out == "rank 0: z=2\n"
+        assert "division-by-zero" in err
+
+    def test_internal_error_exit_code(self, tmp_path, monkeypatch):
+        import rankpl.cli
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(rankpl.cli, "enumerate_outcomes", crash)
+        path = tmp_path / "ok.rpl"
+        path.write_text("x := 1;\n")
+        code, out, err = run_cli(["run", str(path)])
+        assert code == 5
+        assert out == ""
+        assert err == "internal error: RuntimeError('boom')\n"
+
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.rpl"
         path.write_text("x := ;\n")

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import rankpl.engine
+import rankpl.evaluator
 from proggen import random_program
 from rankpl.engine import (
     Outcome,
@@ -14,7 +16,16 @@ from rankpl.engine import (
 )
 from rankpl.evaluator import EvalError, run_program
 from rankpl.parser import parse_program
-from rankpl.ranking import FAILURE, INF, Ranking, Valuation
+from rankpl.ranking import (
+    FAILURE,
+    INF,
+    Ranking,
+    Valuation,
+    l_condition,
+    min_merge,
+    normalize,
+    rank_of,
+)
 from rankpl.syntax import desugar
 
 INTRO = (
@@ -133,15 +144,80 @@ class TestOracleEquivalence:
                 got = {o.valuation: o.rank for o in stream}
                 assert got == expected
                 assert stream.failed == reference.is_failure
+            # an outcome limit keeps the deepening driver on; one it never
+            # reaches runs that driver until its bound proves the whole result
+            stream = enumerate_outcomes(program, SearchOptions(max_outcomes=10**9))
+            assert {o.valuation: o.rank for o in stream} == reference.as_dict()
+            assert stream.failed == reference.is_failure
 
     def test_outcomes_ascend_and_never_repeat(self):
         rng = random.Random(99)
         for _ in range(100):
             program = random_program(rng)
-            seen = set()
-            last = -1
-            for outcome in enumerate_outcomes(program):
-                assert outcome.rank >= last
-                assert outcome.valuation not in seen
-                seen.add(outcome.valuation)
-                last = outcome.rank
+            for opts in (SearchOptions(), SearchOptions(max_outcomes=10**9)):
+                seen = set()
+                last = -1
+                for outcome in enumerate_outcomes(program, opts):
+                    assert outcome.rank >= last
+                    assert outcome.valuation not in seen
+                    seen.add(outcome.valuation)
+                    last = outcome.rank
+
+
+class TestRankOfOncePerRanking:
+    """``rank(b)`` depends on the ranking, never on the state reading it, so
+    both interpreters scan a ranking for it once, not once per state.
+
+    In canonical order the first state satisfying ``x > 196`` comes after
+    197 that do not, so a scan per state would evaluate the condition about
+    n * n times over the n = 200 states of the prior.
+    """
+
+    N = 200
+    PRIOR = Ranking({Valuation({"x": x}): 0 for x in range(N)})
+    EVENT = staticmethod(lambda v: v.get("x") > 196)
+
+    def run_counted(self, monkeypatch, interpreter, source):
+        """Run ``source`` and count the comparisons either interpreter makes."""
+        calls = [0]
+        for module in (rankpl.evaluator, rankpl.engine):
+            original = module._compare
+
+            def counting(*args, original=original):
+                calls[0] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, "_compare", counting)
+        program = parse_program(source)
+        if interpreter == "engine":
+            stream = enumerate_outcomes(program)
+            result = Ranking({o.valuation: o.rank for o in stream})
+        else:
+            result = run_program(program)
+        return result, calls[0]
+
+    @pytest.mark.parametrize("interpreter", ["evaluator", "engine"])
+    def test_choice_offset(self, monkeypatch, interpreter):
+        result, calls = self.run_counted(
+            monkeypatch,
+            interpreter,
+            "x := any_of(0 .. 199); "
+            "either { skip; } or (rank(x > 196) + 1) { x := x + 1; };",
+        )
+        offset = rank_of(self.PRIOR, self.EVENT) + 1
+        moved = {
+            Valuation({"x": v.get("x") + 1}): r + offset
+            for v, r in self.PRIOR.items()
+        }
+        assert result == normalize(min_merge(self.PRIOR.as_dict(), moved))
+        assert calls < 5 * self.N
+
+    @pytest.mark.parametrize("interpreter", ["evaluator", "engine"])
+    def test_observe_l(self, monkeypatch, interpreter):
+        # the expansion reads rank(b) in a guard and in a choice offset, and
+        # its observations and precondition test the condition per state
+        result, calls = self.run_counted(
+            monkeypatch, interpreter, "x := any_of(0 .. 199); observeL(2, x > 196);"
+        )
+        assert result == l_condition(self.PRIOR, self.EVENT, 2)
+        assert calls < 10 * self.N
