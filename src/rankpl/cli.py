@@ -343,10 +343,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: built by the first ``main`` call and reused; ``parse_args`` returns a new
+#: namespace each time and copies the list defaults it appends to, so no
+#: value carries over from one call to the next
+_arg_parser = None
+
+
 def main(argv=None, out=None, err=None) -> int:
+    global _arg_parser
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    args = build_arg_parser().parse_args(argv)
+    if _arg_parser is None:
+        _arg_parser = build_arg_parser()
+    args = _arg_parser.parse_args(argv)
     try:
         return args.handler(args, out, err)
     except Exception as exc:  # a crash must never read as a program's result

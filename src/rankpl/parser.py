@@ -15,7 +15,8 @@ Operator precedence, tightest first: unary ``!`` on booleans; ``*`` ``/``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .ranking import INF
 from .syntax import (
@@ -66,12 +67,24 @@ KEYWORDS = frozenset(
     }
 )
 
-_TWO_CHAR = (":=", "==", "!=", "<=", ">=", "&&", "||", "..")
-_ONE_CHAR = "+-*/%<>!(){}[];,"
+#: One match skips spaces, tabs, ``\r`` and a ``//`` comment, then reads a
+#: newline (group 1) or one token: 2 symbol, 3 integer, 4 name with an ASCII
+#: first character, 5 any other name.  Group 5 also takes a non-decimal digit
+#: such as ``²`` as a first character, which ``tokenize`` rejects: a name
+#: starts with a letter or ``_`` (``str.isalpha``) and goes on with letters,
+#: digits or ``_`` (``str.isalnum``).  No group matches at the end of the
+#: input or at a character that starts no token.  The token group is
+#: optional, so a match never backtracks into the blanks it skipped.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?://[^\n]*)?"
+    r"(?:(\n)|(:=|==|!=|<=|>=|&&|\|\||\.\.|[-+*/%<>!(){}\[\];,])"
+    r"|([0-9]+)|([A-Za-z_]\w*)|([^\W\d]\w*))?"
+)
+_GROUP_KIND = (None, None, "symbol", "integer", "identifier", "identifier")
+_KEYWORD_KIND = dict.fromkeys(KEYWORDS, "keyword")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # keyword | identifier | integer | symbol | eof
     text: str
     line: int
@@ -88,131 +101,126 @@ class ParseError(Exception):
 
 
 def tokenize(source: str) -> list[Token]:
+    """Split ``source`` into tokens, ending with one ``eof`` token.
+
+    One compiled pattern is matched at each position; it skips blanks and
+    a comment and reads the next token or newline in the same match.  Lines
+    and columns count from 1, and a column is the offset from the start of
+    its line plus one, so a tab or carriage return counts as one character.
+    Integer literals are ASCII digits only.  The ``eof`` token sits just past
+    the last character, also when that character ends a ``//`` comment.
+    Raises ``ParseError`` at the first character that starts no token.
+    """
     tokens = []
-    line, column = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
+    append = tokens.append
+    match = _TOKEN.match
+    new = tuple.__new__  # builds a Token without the Python-level __new__ call
+    pos = line_start = 0
+    line = 1
+    while True:
+        m = match(source, pos)
+        group = m.lastindex
+        if group is None:
+            pos = m.end()
+            break
+        start, pos = m.span(group)
+        if group == 1:
             line += 1
-            column = 1
+            line_start = pos
             continue
-        if ch in " \t\r":
-            i += 1
-            column += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_col = column
-        two = source[i : i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(Token("symbol", two, line, start_col))
-            i += 2
-            column += 2
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token("integer", source[i:j], line, start_col))
-            column += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = "keyword" if text in KEYWORDS else "identifier"
-            tokens.append(Token(kind, text, line, start_col))
-            column += j - i
-            i = j
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append(Token("symbol", ch, line, start_col))
-            i += 1
-            column += 1
-            continue
-        if ch == "=":
-            raise ParseError("'=' is not an operator (use '==' or ':=')", line, start_col)
-        if ch == ":":
-            raise ParseError("':' is not an operator (use ':=')", line, start_col)
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(Token("eof", "", line, column))
-    return tokens
+        text = source[start:pos]
+        if group == 5 and not text[0].isalpha():
+            pos = start
+            break
+        kind = _KEYWORD_KIND.get(text, _GROUP_KIND[group])
+        append(new(Token, (kind, text, line, start - line_start + 1)))
+    column = pos - line_start + 1
+    if pos == len(source):
+        append(Token("eof", "", line, column))
+        return tokens
+    ch = source[pos]
+    if ch == "=":
+        raise ParseError("'=' is not an operator (use '==' or ':=')", line, column)
+    if ch == ":":
+        raise ParseError("':' is not an operator (use ':=')", line, column)
+    raise ParseError(f"unexpected character {ch!r}", line, column)
 
 
-_CMP_TOKENS = ("==", "!=", "<", "<=", ">", ">=")
-_NUM_FOLLOW = set(_CMP_TOKENS) | {"+", "-", "*", "/", "%", "xor", "band", "bor", ".."}
+_CMP_TOKENS = frozenset({"==", "!=", "<", "<=", ">", ">="})
+_NUM_FOLLOW = _CMP_TOKENS | {"+", "-", "*", "/", "%", "xor", "band", "bor", ".."}
+_BIT_OPS = frozenset({"xor", "band", "bor"})
+_ADD_OPS = frozenset({"+", "-"})
+_MUL_OPS = frozenset({"*", "/", "%"})
+_TOP_LEVEL = ("",)  # a sequence ends at eof, whose text is empty ...
+_IN_BLOCK = ("", "}")  # ... or, inside a block, at its '}'
 
 
 class _Parser:
+    """Recursive descent over the token list.
+
+    Token texts alone decide: a symbol or keyword text never equals an
+    identifier, integer or eof text, so no check needs a token's kind
+    except where identifiers and integers are told apart.
+    """
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
+        self.texts = [tok.text for tok in tokens]
         self.pos = 0
 
     # token plumbing
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
     def advance(self) -> Token:
+        """Consume the current token; never called at eof."""
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
+        self.pos += 1
         return tok
 
     def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind in ("symbol", "keyword") and tok.text == text
+        return self.texts[self.pos] == text
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
-            self.advance()
+        if self.texts[self.pos] == text:
+            self.pos += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if not self.at(text):
-            shown = tok.text if tok.kind != "eof" else "end of input"
+    def expect(self, text: str):
+        if self.texts[self.pos] != text:
+            tok = self.tokens[self.pos]
             raise ParseError(
-                f"expected '{text}', found '{shown}'",
+                f"expected '{text}', found '{tok.text or 'end of input'}'",
                 tok.line,
                 tok.column,
                 expected={text},
             )
-        return self.advance()
+        self.pos += 1
 
     def fail(self, message: str, expected=frozenset()):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         raise ParseError(message, tok.line, tok.column, expected)
 
     # statements
 
     def program(self) -> Stmt:
-        body = self.sequence(("eof",))
-        self.expect_eof()
-        return body
-
-    def expect_eof(self):
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected '{tok.text}'", tok.line, tok.column)
+        return self.sequence(_TOP_LEVEL)
 
     def sequence(self, stop: tuple) -> Stmt:
-        def done() -> bool:
-            tok = self.peek()
-            return tok.kind == "eof" or ("}" in stop and self.at("}"))
-
+        """Statements up to a text in ``stop``; a '}' at top level is an
+        error, not the end."""
+        tokens, texts = self.tokens, self.texts
         statements = []
-        while not done():
-            statements.append(self.statement(at_end=done))
+        while texts[self.pos] not in stop:
+            tok = tokens[self.pos]
+            parse = _STATEMENTS.get(tok.text)
+            if parse is None:
+                if tok.kind != "identifier":
+                    self.fail(f"expected a statement, found '{tok.text}'")
+                parse = _Parser.assignment
+            statements.append(parse(self, tok, stop))
         if not statements:
-            return Skip(pos=(self.peek().line, self.peek().column))
+            tok = tokens[self.pos]
+            return Skip(pos=(tok.line, tok.column))
         result = statements[-1]
         for stmt in reversed(statements[:-1]):
             result = Seq(stmt, result, pos=stmt.pos)
@@ -220,63 +228,49 @@ class _Parser:
 
     def block(self) -> Stmt:
         self.expect("{")
-        body = self.sequence(("}",))
+        body = self.sequence(_IN_BLOCK)
         self.expect("}")
         return body
 
-    def statement(self, at_end) -> Stmt:
-        tok = self.peek()
-        where = (tok.line, tok.column)
-        if self.at("{"):
-            body = self.block()
-            self.accept(";")
-            return body
-        if self.accept("skip"):
-            self.terminator(at_end)
-            return Skip(pos=where)
-        if self.accept("observe"):
-            cond = self.bool_expr()
-            self.terminator(at_end)
-            return Observe(cond, pos=where)
-        if self.at("observeJ") or self.at("observeL"):
-            form = self.advance().text
-            self.expect("(")
-            strength = self.num_expr()
-            self.expect(",")
-            cond = self.bool_expr()
-            self.expect(")")
-            self.terminator(at_end)
-            node = ObserveJ if form == "observeJ" else ObserveL
-            return node(strength, cond, pos=where)
-        if self.accept("if"):
-            return self.if_statement(where)
-        if self.accept("while"):
-            cond = self.bool_expr()
-            self.expect("do")
-            body = self.block()
-            self.accept(";")
-            return While(cond, body, pos=where)
-        if self.accept("either"):
-            first = self.block()
-            self.expect("or")
-            self.expect("(")
-            rank = self.num_expr()
-            self.expect(")")
-            second = self.block()
-            self.accept(";")
-            return RankedChoice(first, rank, second, pos=where)
-        if tok.kind == "identifier":
-            return self.assignment(at_end)
-        self.fail(f"expected a statement, found '{tok.text or 'end of input'}'")
+    # Each statement parser takes the statement's first token, not yet
+    # consumed, and the texts that may end the enclosing sequence.
 
-    def if_statement(self, where) -> Stmt:
+    def block_statement(self, tok, stop) -> Stmt:
+        body = self.block()
+        self.accept(";")
+        return body
+
+    def skip_statement(self, tok, stop) -> Stmt:
+        self.pos += 1
+        self.terminator(stop)
+        return Skip(pos=(tok.line, tok.column))
+
+    def observe_statement(self, tok, stop) -> Stmt:
+        self.pos += 1
+        cond = self.bool_expr()
+        self.terminator(stop)
+        return Observe(cond, pos=(tok.line, tok.column))
+
+    def observe_jl_statement(self, tok, stop) -> Stmt:
+        self.pos += 1
+        self.expect("(")
+        strength = self.num_expr()
+        self.expect(",")
+        cond = self.bool_expr()
+        self.expect(")")
+        self.terminator(stop)
+        node = ObserveJ if tok.text == "observeJ" else ObserveL
+        return node(strength, cond, pos=(tok.line, tok.column))
+
+    def if_statement(self, tok, stop) -> Stmt:
+        self.pos += 1
         cond = self.bool_expr()
         self.expect("then")
         then_branch = self.block()
+        where = (tok.line, tok.column)
         if self.accept("else"):
             if self.at("if"):
-                if_tok = self.advance()
-                else_branch = self.if_statement((if_tok.line, if_tok.column))
+                else_branch = self.if_statement(self.tokens[self.pos], stop)
             else:
                 else_branch = self.block()
                 self.accept(";")
@@ -284,26 +278,47 @@ class _Parser:
         self.accept(";")
         return IfThen(cond, then_branch, pos=where)
 
-    def terminator(self, at_end):
-        if not self.accept(";") and not at_end():
+    def while_statement(self, tok, stop) -> Stmt:
+        self.pos += 1
+        cond = self.bool_expr()
+        self.expect("do")
+        body = self.block()
+        self.accept(";")
+        return While(cond, body, pos=(tok.line, tok.column))
+
+    def either_statement(self, tok, stop) -> Stmt:
+        self.pos += 1
+        first = self.block()
+        self.expect("or")
+        self.expect("(")
+        rank = self.num_expr()
+        self.expect(")")
+        second = self.block()
+        self.accept(";")
+        return RankedChoice(first, rank, second, pos=(tok.line, tok.column))
+
+    def terminator(self, stop):
+        text = self.texts[self.pos]
+        if text == ";":
+            self.pos += 1
+        elif text not in stop:
             self.fail("expected ';'", expected={";"})
 
-    def assignment(self, at_end) -> Stmt:
-        name_tok = self.advance()
+    def assignment(self, name_tok, stop) -> Stmt:
+        self.pos += 1
         where = (name_tok.line, name_tok.column)
         indices = []
         while self.accept("["):
             indices.append(self.num_expr())
             self.expect("]")
         self.expect(":=")
-        if self.at("any_of"):
-            self.advance()
+        if self.accept("any_of"):
             self.expect("(")
             lower = self.int_literal()
             self.expect("..")
             upper = self.int_literal()
             self.expect(")")
-            self.terminator(at_end)
+            self.terminator(stop)
             return UniformPick(name_tok.text, tuple(indices), lower, upper, pos=where)
         value = self.num_expr()
         if self.accept("or"):
@@ -311,18 +326,18 @@ class _Parser:
             rank = self.num_expr()
             self.expect(")")
             second = self.num_expr()
-            self.terminator(at_end)
+            self.terminator(stop)
             return ChoiceAssign(
                 name_tok.text, tuple(indices), value, rank, second, pos=where
             )
-        self.terminator(at_end)
+        self.terminator(stop)
         return Assign(name_tok.text, tuple(indices), value, pos=where)
 
     def int_literal(self) -> int:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "integer":
             self.fail("expected an integer literal")
-        self.advance()
+        self.pos += 1
         return int(tok.text)
 
     # boolean expressions
@@ -332,32 +347,32 @@ class _Parser:
 
     def bool_or(self) -> BoolExpr:
         left = self.bool_and()
-        while self.at("||"):
+        while self.texts[self.pos] == "||":
             tok = self.advance()
             left = Or(left, self.bool_and(), pos=(tok.line, tok.column))
         return left
 
     def bool_and(self) -> BoolExpr:
         left = self.bool_unary()
-        while self.at("&&"):
+        while self.texts[self.pos] == "&&":
             tok = self.advance()
             left = And(left, self.bool_unary(), pos=(tok.line, tok.column))
         return left
 
     def bool_unary(self) -> BoolExpr:
-        tok = self.peek()
-        if self.accept("!"):
+        text = self.texts[self.pos]
+        if text == "!":
+            tok = self.advance()
             return Not(self.bool_unary(), pos=(tok.line, tok.column))
-        if self.at("("):
+        if text == "(":
             # '(' is ambiguous: a parenthesized boolean or the start of a
             # numeric comparison.  Try the boolean reading, fall back.
             saved = self.pos
             try:
-                self.advance()
+                self.pos += 1
                 inner = self.bool_or()
                 self.expect(")")
-                follow = self.peek()
-                if not (follow.text in _NUM_FOLLOW and follow.kind in ("symbol", "keyword")):
+                if self.texts[self.pos] not in _NUM_FOLLOW:
                     return inner
             except ParseError:
                 pass
@@ -366,12 +381,11 @@ class _Parser:
 
     def comparison(self) -> BoolExpr:
         left = self.num_expr()
-        tok = self.peek()
-        if not (tok.kind in ("symbol",) and tok.text in _CMP_TOKENS):
+        if self.texts[self.pos] not in _CMP_TOKENS:
             self.fail(
-                "expected a comparison operator", expected=set(_CMP_TOKENS)
+                "expected a comparison operator", expected=_CMP_TOKENS
             )
-        self.advance()
+        tok = self.advance()
         right = self.num_expr()
         where = (tok.line, tok.column)
         if tok.text == "==":
@@ -390,14 +404,14 @@ class _Parser:
 
     def num_expr(self) -> NumExpr:
         left = self.num_additive()
-        while self.at("xor") or self.at("band") or self.at("bor"):
+        while self.texts[self.pos] in _BIT_OPS:
             tok = self.advance()
             left = BinOp(tok.text, left, self.num_additive(), pos=(tok.line, tok.column))
         return left
 
     def num_additive(self) -> NumExpr:
         left = self.num_multiplicative()
-        while self.at("+") or self.at("-"):
+        while self.texts[self.pos] in _ADD_OPS:
             tok = self.advance()
             left = BinOp(
                 tok.text, left, self.num_multiplicative(), pos=(tok.line, tok.column)
@@ -406,42 +420,69 @@ class _Parser:
 
     def num_multiplicative(self) -> NumExpr:
         left = self.num_atom()
-        while self.at("*") or self.at("/") or self.at("%"):
+        while self.texts[self.pos] in _MUL_OPS:
             tok = self.advance()
             left = BinOp(tok.text, left, self.num_atom(), pos=(tok.line, tok.column))
         return left
 
     def num_atom(self) -> NumExpr:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         where = (tok.line, tok.column)
-        if tok.kind == "integer":
-            self.advance()
+        kind = tok.kind
+        if kind == "integer":
+            self.pos += 1
             return IntLit(int(tok.text), pos=where)
-        if self.accept("inf"):
-            return IntLit(INF, pos=where)
-        if self.accept("rank"):
-            self.expect("(")
-            cond = self.bool_expr()
-            self.expect(")")
-            return RankOf(cond, pos=where)
-        if tok.kind == "identifier":
-            self.advance()
+        if kind == "identifier":
+            self.pos += 1
             indices = []
             while self.accept("["):
                 indices.append(self.num_expr())
                 self.expect("]")
             return Var(tok.text, tuple(indices), pos=where)
-        if self.accept("("):
+        text = tok.text
+        if text == "inf":
+            self.pos += 1
+            return IntLit(INF, pos=where)
+        if text == "rank":
+            self.pos += 1
+            self.expect("(")
+            cond = self.bool_expr()
+            self.expect(")")
+            return RankOf(cond, pos=where)
+        if text == "(":
+            self.pos += 1
             inner = self.num_expr()
             self.expect(")")
             return inner
-        self.fail(f"expected an expression, found '{tok.text or 'end of input'}'")
+        self.fail(f"expected an expression, found '{text or 'end of input'}'")
+
+
+#: statement parsers by the text of a statement's first token; any other
+#: identifier starts an assignment
+_STATEMENTS = {
+    "{": _Parser.block_statement,
+    "skip": _Parser.skip_statement,
+    "observe": _Parser.observe_statement,
+    "observeJ": _Parser.observe_jl_statement,
+    "observeL": _Parser.observe_jl_statement,
+    "if": _Parser.if_statement,
+    "while": _Parser.while_statement,
+    "either": _Parser.either_statement,
+}
 
 
 def parse_program(source: str) -> Stmt:
     """Parse a whole program into one statement tree.
 
-    Sequences come out right-nested and sugar survives for ``desugar``.  An
-    empty program is accepted and behaves like ``skip``.
+    The source is split by ``tokenize`` first.  Sequences come out
+    right-nested and sugar survives for ``desugar``.  An empty program is
+    accepted and behaves like ``skip``.  Raises ``ParseError`` on a syntax
+    error, and ``ParseError("program nested too deeply")`` at the token being
+    read when the nesting exhausts Python's recursion limit.
     """
-    return _Parser(tokenize(source)).program()
+    parser = _Parser(tokenize(source))
+    try:
+        return parser.program()
+    except RecursionError:
+        tok = parser.tokens[parser.pos]
+        raise ParseError("program nested too deeply", tok.line, tok.column) from None

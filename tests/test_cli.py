@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+import rankpl.cli
 from conftest import LOCALIZATION_ARGS, run_cli
 
 
@@ -112,6 +115,36 @@ class TestRun:
         code, _, err = run_cli(["run", str(path)])
         assert code == 2 and "parse error" in err
 
+    def test_non_ascii_digit_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "digit.rpl"
+        path.write_text("x := \u00b2;\n", encoding="utf-8")
+        code, out, err = run_cli(["run", str(path)])
+        assert code == 2 and out == ""
+        assert "line 1, column 6: unexpected character '\u00b2'" in err
+
+    def test_unicode_identifier(self, tmp_path):
+        path = tmp_path / "name.rpl"
+        path.write_text("\u00e9 := 1;\n", encoding="utf-8")
+        code, out, _ = run_cli(["run", str(path)])
+        assert code == 0
+        assert out == "rank 0: \u00e9=1\n"
+
+    @pytest.mark.parametrize("depth", [200, 1000])
+    def test_deep_nesting_runs_or_is_a_parse_error(self, tmp_path, depth):
+        parens = tmp_path / "parens.rpl"
+        parens.write_text("x := " + "(" * depth + "1" + ")" * depth + ";\n")
+        ifs = tmp_path / "ifs.rpl"
+        ifs.write_text(
+            "x := 0; " + "if x == 0 then { " * depth + "x := 1;" + " }" * depth + "\n"
+        )
+        for path in (parens, ifs):
+            code, out, err = run_cli(["run", str(path), "--project", "x"])
+            if depth == 200:
+                assert (code, out, err) == (0, "rank 0: x=1\n", "")
+            else:
+                assert code == 2 and out == ""
+                assert "parse error" in err and "program nested too deeply" in err
+
     def test_static_error_exit_code(self, tmp_path):
         path = tmp_path / "static.rpl"
         path.write_text("x := any_of(3 .. 1);\n")
@@ -201,3 +234,45 @@ class TestCheck:
         path.write_text("")
         code, _, _ = run_cli(["check", str(path)])
         assert code == 0
+
+
+class TestArgParserReuse:
+    """``main`` builds its argument parser once and reuses it."""
+
+    def test_two_calls_build_one_parser(self, programs, monkeypatch):
+        monkeypatch.setattr(rankpl.cli, "_arg_parser", None)
+        calls = []
+        build = rankpl.cli.build_arg_parser
+
+        def counting():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(rankpl.cli, "build_arg_parser", counting)
+        for _ in range(2):
+            code, out, _ = run_cli(["run", str(programs / "intro.rpl"), "--project", "x"])
+            assert code == 0 and out.startswith("rank 0: x=10\n")
+        assert len(calls) == 1
+
+    def test_options_do_not_leak_into_the_next_call(self, tmp_path):
+        program = tmp_path / "a.rpl"
+        program.write_text("x := a;\n")
+        inputs = tmp_path / "a.input"
+        inputs.write_text("a = 2\n")
+        run = ["run", str(program), "--project", "x"]
+        assert run_cli(run + ["--define", "a=1"])[:2] == (0, "rank 0: x=1\n")
+        assert run_cli(run)[:2] == (0, "rank 0: x=0\n")
+        assert run_cli(run + ["--input", str(inputs)])[:2] == (0, "rank 0: x=2\n")
+        assert run_cli(run)[:2] == (0, "rank 0: x=0\n")
+        assert run_cli(run + ["--enum", "E=7", "--define", "a=E"])[:2] == (0, "rank 0: x=7\n")
+        code, out, err = run_cli(run + ["--define", "a=E"])
+        assert code == 4 and out == "" and "enum" in err
+
+    def test_usage_error_still_exits_with_2(self, programs, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_:
+                run_cli(["run"])
+            assert exit_.value.code == 2
+            assert "usage: rankpl run" in capsys.readouterr().err
+        code, out, _ = run_cli(["run", str(programs / "intro.rpl"), "--project", "x"])
+        assert code == 0 and out.startswith("rank 0: x=10\n")

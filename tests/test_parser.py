@@ -1,4 +1,9 @@
+import random
+
 import pytest
+
+from proggen import random_program
+from test_syntax import random_core_stmt
 
 from rankpl.parser import ParseError, Token, parse_program, tokenize
 from rankpl.syntax import (
@@ -20,6 +25,7 @@ from rankpl.syntax import (
     UniformPick,
     Var,
     While,
+    pretty_print,
 )
 from rankpl.ranking import INF
 
@@ -58,6 +64,80 @@ class TestTokenize:
     def test_lone_equals_is_rejected(self):
         with pytest.raises(ParseError):
             tokenize("x = 1;")
+
+    def test_integer_literals_are_ascii_digits(self):
+        # str.isdigit accepts '²' and '٣', but they are no integer literal
+        for source, column in (("x := ²;", 6), ("x := 1²;", 7), ("x := ٣;", 6)):
+            with pytest.raises(ParseError) as err:
+                tokenize(source)
+            assert err.value.message == f"unexpected character {source[column - 1]!r}"
+            assert (err.value.line, err.value.column) == (1, column)
+
+    def test_unicode_identifiers(self):
+        assert tokenize("é := 1;")[0] == Token("identifier", "é", 1, 1)
+        assert tokenize("x² := 1;")[0] == Token("identifier", "x²", 1, 1)
+        with pytest.raises(ParseError) as err:
+            tokenize("½ := 1;")
+        assert err.value.message == "unexpected character '½'"
+
+    def test_eof_after_trailing_comment(self):
+        # the end-of-input token sits after the comment, not where it starts
+        assert tokenize("x := 1; // done")[-1] == Token("eof", "", 1, 16)
+        assert tokenize("x := 1;\n//")[-1] == Token("eof", "", 2, 3)
+
+
+def _must_separate(left: str, right: str) -> bool:
+    """Whether two token texts would read as one name or number, as a
+    two-character symbol or as the start of a comment if they touched."""
+    if (left[-1].isalnum() or left[-1] == "_") and (right[0].isalnum() or right[0] == "_"):
+        return True
+    return left[-1] + right[0] in (":=", "==", "!=", "<=", ">=", "&&", "||", "..", "//")
+
+
+_GAPS = (" ", "  ", "\t", "\n", "\r\n", "\n\n", " // note := 1;\n", "//\n", "\t//x\r\n")
+#: forms the random trees do not print: '..', '<=', '>=', '!=', '&&', 'inf'
+_EXTRA = "w := any_of(0 .. 2); observe w <= 1 && w >= 0 || w != 3 && w < inf;"
+
+
+def _scatter(rng, texts):
+    """Join token texts with random blanks, newlines and comments, often
+    with none at all; returns the source and each token's offset in it."""
+    def gap(choices):
+        text = rng.choice(choices)
+        return " " + text if source.endswith("/") and text.startswith("/") else text
+
+    source, offsets = rng.choice(("", " ", "\n", "// head\n")), []
+    for i, text in enumerate(texts):
+        if i and (_must_separate(texts[i - 1], text) or rng.random() < 0.6):
+            source += gap(_GAPS)
+        offsets.append(len(source))
+        source += text
+    source += gap(("", " ", "\n", "\r\n", "// tail", " //tail := 2;"))
+    return source, offsets
+
+
+def _line_and_column(source, offset):
+    line_start = source.rfind("\n", 0, offset) + 1
+    return source.count("\n", 0, offset) + 1, offset - line_start + 1
+
+
+def test_token_positions_in_scattered_sources():
+    rng = random.Random(4242)
+    for round_ in range(300):
+        tree = random_core_stmt(rng, 4) if round_ % 2 else random_program(rng)
+        compact = _EXTRA + " " + pretty_print(tree)
+        texts = [tok.text for tok in tokenize(compact)[:-1]]
+        source, offsets = _scatter(rng, texts)
+        tokens = tokenize(source)
+        assert [tok.text for tok in tokens[:-1]] == texts
+        lines = source.split("\n")
+        for tok, offset in zip(tokens, offsets):
+            assert (tok.line, tok.column) == _line_and_column(source, offset), source
+            assert lines[tok.line - 1][tok.column - 1 :].startswith(tok.text)
+        eof = tokens[-1]
+        assert eof.kind == "eof"
+        assert (eof.line, eof.column) == _line_and_column(source, len(source))
+        assert parse_program(source) == parse_program(compact)
 
 
 class TestParseProgram:
@@ -189,6 +269,27 @@ class TestParseProgram:
     def test_keywords_are_reserved(self):
         with pytest.raises(ParseError):
             parse_program("observe := 1;")
+
+    def test_deep_nesting_within_the_recursion_limit_parses(self):
+        parens = parse_program("x := " + "(" * 200 + "1" + ")" * 200 + ";")
+        assert parens == Assign("x", (), IntLit(1))
+        ifs = parse_program("if x == 0 then { " * 200 + "skip;" + " }" * 200)
+        for _ in range(200):
+            assert isinstance(ifs, IfThen)
+            ifs = ifs.then_branch
+        assert ifs == Skip()
+
+    def test_nesting_too_deep_is_a_parse_error(self):
+        for source in (
+            "x := " + "(" * 1000 + "1" + ")" * 1000 + ";",
+            "if x == 0 then { " * 1000 + "skip;" + " }" * 1000,
+        ):
+            with pytest.raises(ParseError) as err:
+                parse_program(source)
+            assert err.value.message == "program nested too deeply"
+            # the error points at the token being read
+            starts = {(tok.line, tok.column) for tok in tokenize(source)}
+            assert (err.value.line, err.value.column) in starts
 
     def test_error_positions_stay_within_source(self):
         broken = [
