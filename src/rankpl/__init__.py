@@ -25,9 +25,7 @@ from .ranking import (
     Valuation,
     as_rank,
     condition,
-    event_holds,
     firmness,
-    is_finite,
     j_condition,
     l_condition,
     marginalize,
@@ -72,8 +70,6 @@ from .evaluator import (
     EvalConfig,
     EvalError,
     denote,
-    eval_bool,
-    eval_num,
     initial_ranking,
     run_program,
 )
@@ -101,9 +97,7 @@ __all__ = [
     "Valuation",
     "as_rank",
     "condition",
-    "event_holds",
     "firmness",
-    "is_finite",
     "j_condition",
     "l_condition",
     "marginalize",
@@ -150,8 +144,6 @@ __all__ = [
     "EvalConfig",
     "EvalError",
     "denote",
-    "eval_bool",
-    "eval_num",
     "initial_ranking",
     "run_program",
     # enumeration

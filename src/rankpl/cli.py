@@ -21,8 +21,12 @@ import json
 import re
 import sys
 
-from .engine import BudgetExhaustedError, SearchOptions, enumerate_outcomes
-from .evaluator import EvalError
+from .engine import (
+    BudgetExhaustedError,
+    EvalError,
+    SearchOptions,
+    enumerate_outcomes,
+)
 from .parser import ParseError, parse_program
 from .ranking import INF, format_binding
 from .syntax import Assign, DesugarError, IntLit, Seq, Skip, desugar
@@ -44,7 +48,7 @@ class InputError(Exception):
 # -- input values ---------------------------------------------------------------
 
 
-_VALUE_TOKEN = re.compile(r"-?\d+|[A-Za-z_][A-Za-z0-9_]*|\[|\]|,")
+_VALUE_TOKEN = re.compile(r"-?[0-9]+|[A-Za-z_][A-Za-z0-9_]*|\[|\]|,")
 
 
 def _tokenize_value(text: str) -> list[str]:
@@ -77,7 +81,7 @@ def _parse_value(tokens: list[str], enums: dict) -> "int | list":
                 tokens.pop(0)
     if head in ("]", ","):
         raise InputError(f"unexpected {head!r}")
-    if re.fullmatch(r"-?\d+", head):
+    if re.fullmatch(r"-?[0-9]+", head):
         return int(head)
     if head in enums:
         return enums[head]
@@ -179,7 +183,7 @@ def cmd_run(args, out, err) -> int:
         for mapping in args.enum:
             for piece in mapping.split(","):
                 name, _, number = piece.partition("=")
-                if not name.strip() or not re.fullmatch(r"-?\d+", number.strip()):
+                if not name.strip() or not re.fullmatch(r"-?[0-9]+", number.strip()):
                     raise InputError(f"bad --enum entry {piece!r}")
                 enums[name.strip()] = int(number.strip())
         defines = {}

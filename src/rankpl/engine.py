@@ -1,4 +1,15 @@
-"""Most-plausible-first outcome enumeration.
+"""The statement interpreter: denotation of rankings, exact or budgeted.
+
+Every statement maps a prior ranking over program states to a posterior one.
+Ranked choice merges a normal branch with a penalized one, observation
+conditions the ranking, and a conditional runs each branch on the matching
+slice before recombining at the prior ranks.  All arithmetic is exact; the
+failure ranking is a legal result, while errors (division by zero, undefined
+infinity arithmetic, runaway loops) abort the run.
+
+``_denote`` runs one statement against a budget-truncated ranking.  At an
+infinite budget nothing is pruned and the result is exact; ``run_program``
+and ``denote`` in :mod:`rankpl.evaluator` are that exact run.
 
 A bounded run (finite ``max_rank`` or ``max_outcomes``) runs the program
 repeatedly under a growing rank budget, pruning every choice alternative
@@ -9,7 +20,7 @@ the sorted result only when the whole program has run: a runtime error
 anywhere in it ends the stream before the first outcome.
 
 Each budget round computes a truncated ranking together with an exactness
-bound: the entries at or below the bound are exactly the reference result's
+bound: the entries at or below the bound are exactly the full result's
 entries at or below it.  Pruning at a merge caps the bound at the budget;
 conditioning shifts it down by the same normalization offset it applies to
 the surviving entries (the minimum surviving accumulated rank at that merge);
@@ -22,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .evaluator import EvalError, _apply_binop, _compare
 from .ranking import FAILURE, INF, RANK_LIMIT, Ranking, Valuation
 from .syntax import (
     And,
@@ -49,6 +59,28 @@ from .syntax import (
     expand_observe_j,
     expand_observe_l,
 )
+
+ERROR_KINDS = (
+    "division-by-zero",
+    "undefined-infinity-arith",
+    "negative-choice-rank",
+    "non-boolean-bit-op",
+    "iteration-limit",
+    "j-or-l-precondition",
+)
+
+
+class EvalError(Exception):
+    """A runtime error; unlike the failure ranking it aborts the run."""
+
+    def __init__(self, kind: str, pos=None, detail: str = ""):
+        assert kind in ERROR_KINDS
+        self.kind = kind
+        self.pos = pos
+        self.detail = detail
+        where = f" at line {pos[0]}, column {pos[1]}" if pos else ""
+        extra = f" ({detail})" if detail else ""
+        super().__init__(f"{kind}{where}{extra}")
 
 
 class BudgetExhaustedError(Exception):
@@ -150,6 +182,63 @@ class _Round:
 
 
 # -- expressions over partial rankings ---------------------------------------
+
+
+def _trunc_div(a: int, b: int, pos) -> int:
+    if b == 0:
+        raise EvalError("division-by-zero", pos)
+    q = abs(a) // abs(b)
+    return -q if (a < 0) != (b < 0) else q
+
+
+def _trunc_mod(a: int, b: int, pos) -> int:
+    return a - _trunc_div(a, b, pos) * b
+
+
+def _bit_op(op: str, a, b, pos) -> int:
+    if a not in (0, 1) or b not in (0, 1):
+        raise EvalError("non-boolean-bit-op", pos, f"{op} needs 0/1 operands")
+    if op == "xor":
+        return a ^ b
+    if op == "band":
+        return a & b
+    return a | b
+
+
+def _apply_binop(op: str, a, b, pos):
+    """Value arithmetic: integers plus an absorbing infinity where defined."""
+    if op == "+":
+        if a is INF or b is INF:
+            return INF
+        return a + b
+    if op == "-":
+        if b is INF:
+            raise EvalError("undefined-infinity-arith", pos, "subtracting inf")
+        if a is INF:
+            return INF
+        return a - b
+    if op in ("xor", "band", "bor"):
+        return _bit_op(op, a, b, pos)
+    if a is INF or b is INF:
+        raise EvalError("undefined-infinity-arith", pos, f"inf in '{op}'")
+    if op == "*":
+        return a * b
+    if op == "/":
+        return _trunc_div(a, b, pos)
+    if op == "%":
+        return _trunc_mod(a, b, pos)
+    raise AssertionError(f"unknown operator {op!r}")
+
+
+def _compare(op: str, a, b) -> bool:
+    # comparisons are total, including on INF
+    if op == "==":
+        return a is b if (a is INF or b is INF) else a == b
+    if op == "<":
+        return a < b if b is not INF else a is not INF
+    if op == "<=":
+        return not _compare("<", b, a)
+    raise AssertionError(f"unknown comparison {op!r}")
 
 
 def _eval_num(sigma: Valuation, partial: _Partial, e: NumExpr):
@@ -453,9 +542,9 @@ def enumerate_outcomes(s: Stmt, opts: SearchOptions | None = None) -> OutcomeStr
     """Enumerate program outcomes most-plausible-first.
 
     Yields every outcome of rank at most ``opts.max_rank`` exactly once, in
-    nondecreasing rank order, matching the reference evaluator's result
-    whenever that run terminates without error.  Raises the evaluator's
-    runtime errors, or :class:`BudgetExhaustedError` if a finite ``max_rank``
+    nondecreasing rank order, matching ``run_program``'s result whenever
+    that run terminates without error.  Raises :class:`EvalError` on a
+    runtime error, or :class:`BudgetExhaustedError` if a finite ``max_rank``
     cuts enumeration off before anything could be proven.
 
     With a finite ``max_rank`` or a ``max_outcomes`` the program runs
@@ -471,7 +560,7 @@ def enumerate_outcomes(s: Stmt, opts: SearchOptions | None = None) -> OutcomeStr
 
 def enumerate_collect(s: Stmt, opts: SearchOptions | None = None) -> Ranking:
     """Materialize the stream into a ranking; with unlimited options this
-    equals the reference evaluator's result exactly."""
+    equals ``run_program``'s result exactly."""
     stream = enumerate_outcomes(s, opts)
     entries = {outcome.valuation: outcome.rank for outcome in stream}
     if stream.failed:

@@ -92,10 +92,6 @@ INF = _Infinity()
 Rank = Union[int, _Infinity]
 
 
-def is_finite(rank: Rank) -> bool:
-    return rank is not INF
-
-
 def as_rank(value) -> Rank:
     """Validate an externally supplied value as a rank."""
     if value is INF:
@@ -258,7 +254,7 @@ class Ranking:
     observing something impossible.  Immutable.
     """
 
-    __slots__ = ("_entries", "_derived")
+    __slots__ = ("_entries",)
 
     def __init__(self, entries: Mapping[Valuation, int]):
         for rank in entries.values():
@@ -269,7 +265,6 @@ class Ranking:
         if entries and min(entries.values()) != 0:
             raise ValueError("ranking is not normalized: minimum rank is not 0")
         self._entries = dict(sorted(entries.items()))
-        self._derived = {}
 
     @property
     def is_failure(self) -> bool:
@@ -287,21 +282,6 @@ class Ranking:
 
     def rank(self, valuation: Valuation) -> Rank:
         return self._entries.get(valuation, INF)
-
-    def derived(self, key, compute: Callable[[], object]):
-        """``compute()``, run at most once per ``key`` for this ranking.
-
-        A ranking is immutable, so a value computed from it alone can stay
-        with it and go when it goes.  Raised errors are not kept, and the
-        shared failure ranking keeps nothing.
-        """
-        if not self._entries:
-            return compute()
-        try:
-            return self._derived[key]
-        except KeyError:
-            value = self._derived[key] = compute()
-            return value
 
     def __len__(self):
         return len(self._entries)

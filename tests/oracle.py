@@ -1,12 +1,14 @@
-"""Brute-force path semantics for loop-free programs.
+"""Brute-force path semantics for core programs.
 
-Independent of the library evaluator: works on plain weight dictionaries,
+Independent of the library interpreter: works on plain weight dictionaries,
 walking every choice alternative recursively.  Choice penalties add to a
 path's weight, observation filters and re-levels the surviving weights, and
-branch merges re-level at the end of their scope.  Failure is None.
+branch merges re-level at the end of their scope.  A loop unrolls into one
+conditional step at a time until no state satisfies its guard.  Failure is
+None.
 """
 
-from rankpl.ranking import INF, Valuation
+from rankpl.ranking import FAILURE, INF, Valuation, normalize
 from rankpl.syntax import (
     And,
     Assign,
@@ -22,7 +24,11 @@ from rankpl.syntax import (
     Seq,
     Skip,
     Var,
+    While,
+    desugar,
 )
+
+MAX_UNROLL = 10000
 
 
 def o_num(sigma, states, e):
@@ -137,9 +143,24 @@ def walk(stmt, states):
                 if sigma not in merged or total < merged[sigma]:
                     merged[sigma] = total
         return _relevel(merged) if merged else None
+    if isinstance(stmt, While):
+        step = IfThenElse(stmt.cond, stmt.body, Skip())
+        steps = 0
+        while states is not None and any(o_holds(s, states, stmt.cond) for s in states):
+            steps += 1
+            assert steps <= MAX_UNROLL, f"oracle: loop ran past {MAX_UNROLL} steps"
+            states = walk(step, states)
+        return states
     raise AssertionError(f"oracle: unsupported statement {stmt!r}")
 
 
 def oracle_run(stmt):
     """Weights of every reachable final state, or None when all paths die."""
     return walk(stmt, {Valuation(): 0})
+
+
+def oracle_ranking(stmt):
+    """The oracle's result for a program with sugar, as a normalized ranking:
+    the failure ranking when all paths die."""
+    weights = oracle_run(desugar(stmt))
+    return FAILURE if weights is None else normalize(weights)

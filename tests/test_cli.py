@@ -165,6 +165,27 @@ class TestRun:
         )
         assert code == 4 and "enum" in err
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["--define", "a=\u0663"],
+            ["--define", "a=T", "--enum", "T=\u0663"],
+            ["--input", "digit.input"],
+        ],
+        ids=["define", "enum", "input"],
+    )
+    def test_non_ascii_digit_in_inputs_is_an_input_error(
+        self, tmp_path, monkeypatch, options
+    ):
+        # U+0663 (Arabic-Indic three) is a digit to \d and int(), but input
+        # values, like program literals, are ASCII digits only
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.rpl").write_text("x := a;\n")
+        (tmp_path / "digit.input").write_text("a = \u0663\n", encoding="utf-8")
+        code, out, err = run_cli(["run", "a.rpl", *options, "--project", "x"])
+        assert (code, out) == (4, "")
+        assert err.startswith("input error: ")
+
     def test_empty_projection_of_skip(self, tmp_path):
         path = tmp_path / "skip.rpl"
         path.write_text("skip;\n")

@@ -3,9 +3,11 @@ import random
 import pytest
 
 import rankpl.engine
-import rankpl.evaluator
+from conftest import run_cli
+from oracle import oracle_ranking
 from proggen import random_program
 from rankpl.engine import (
+    ERROR_KINDS,
     Outcome,
     SearchOptions,
     _denote,
@@ -14,7 +16,7 @@ from rankpl.engine import (
     enumerate_collect,
     enumerate_outcomes,
 )
-from rankpl.evaluator import EvalError, run_program
+from rankpl.evaluator import EvalConfig, EvalError, run_program
 from rankpl.parser import parse_program
 from rankpl.ranking import (
     FAILURE,
@@ -97,7 +99,7 @@ class TestEnumerateCollect:
 
     def test_matches_reference_on_corpus_style_program(self):
         program = parse_program(INTRO_OBSERVE)
-        assert enumerate_collect(program) == run_program(program)
+        assert enumerate_collect(program) == oracle_ranking(program)
 
     def test_failure_collects_to_failure(self):
         assert enumerate_collect(parse_program("observe 1 == 2;")) == FAILURE
@@ -106,7 +108,7 @@ class TestEnumerateCollect:
 class TestCorpusEquivalence:
     def test_adder_full_enumeration_matches_reference(self, programs):
         program = parse_program((programs / "adder.rpl").read_text())
-        assert enumerate_collect(program) == run_program(program)
+        assert enumerate_collect(program) == oracle_ranking(program)
 
     def test_localization_matches_reference(self, programs):
         from conftest import PROGRAMS
@@ -121,7 +123,7 @@ class TestCorpusEquivalence:
             binding_prelude(defines),
             parse_program((programs / "localization.rpl").read_text()),
         )
-        assert enumerate_collect(program) == run_program(program)
+        assert enumerate_collect(program) == oracle_ranking(program)
 
 
 class TestOracleEquivalence:
@@ -129,13 +131,13 @@ class TestOracleEquivalence:
         rng = random.Random(97)
         for _ in range(200):
             program = random_program(rng)
-            assert enumerate_collect(program) == run_program(program)
+            assert enumerate_collect(program) == oracle_ranking(program)
 
     def test_prefix_slices_match_reference(self):
         rng = random.Random(98)
         for _ in range(60):
             program = random_program(rng)
-            reference = run_program(program)
+            reference = oracle_ranking(program)
             for cap in (0, 1, 2):
                 expected = {
                     v: r for v, r in reference.items() if r <= cap
@@ -166,7 +168,8 @@ class TestOracleEquivalence:
 
 class TestRankOfOncePerRanking:
     """``rank(b)`` depends on the ranking, never on the state reading it, so
-    both interpreters scan a ranking for it once, not once per state.
+    the interpreter scans a ranking for it once, not once per state, through
+    ``run_program`` and through ``enumerate_outcomes`` alike.
 
     In canonical order the first state satisfying ``x > 196`` comes after
     197 that do not, so a scan per state would evaluate the condition about
@@ -178,16 +181,15 @@ class TestRankOfOncePerRanking:
     EVENT = staticmethod(lambda v: v.get("x") > 196)
 
     def run_counted(self, monkeypatch, interpreter, source):
-        """Run ``source`` and count the comparisons either interpreter makes."""
+        """Run ``source`` through one entry point and count the comparisons."""
         calls = [0]
-        for module in (rankpl.evaluator, rankpl.engine):
-            original = module._compare
+        original = rankpl.engine._compare
 
-            def counting(*args, original=original):
-                calls[0] += 1
-                return original(*args)
+        def counting(*args):
+            calls[0] += 1
+            return original(*args)
 
-            monkeypatch.setattr(module, "_compare", counting)
+        monkeypatch.setattr(rankpl.engine, "_compare", counting)
         program = parse_program(source)
         if interpreter == "engine":
             stream = enumerate_outcomes(program)
@@ -221,3 +223,44 @@ class TestRankOfOncePerRanking:
         )
         assert result == l_condition(self.PRIOR, self.EVENT, 2)
         assert calls < 10 * self.N
+
+
+#: one program per runtime error kind; each raises in its rank-0 state, at
+#: line 2, while a rank-1 alternative keeps a --max-rank 0 run bounded
+ERROR_PROGRAMS = {
+    "division-by-zero": "x := 0 or(1) 1;\ny := 1 / x;",
+    "undefined-infinity-arith": "x := 0 or(1) 1;\ny := x - inf;",
+    "negative-choice-rank": "x := 0 or(1) 1;\neither { skip; } or (x - 1) { skip; };",
+    "non-boolean-bit-op": "x := 0 or(1) 1;\ny := (x + 2) xor 1;",
+    "iteration-limit": "x := 0 or(1) 1;\nwhile x == 0 do { skip; };",
+    "j-or-l-precondition": "x := 0 or(1) 1;\nobserveJ(1, x == 5);",
+}
+
+
+@pytest.mark.parametrize("kind", ERROR_KINDS)
+def test_errors_agree_across_entry_points(kind, tmp_path):
+    source = ERROR_PROGRAMS[kind]
+    program = parse_program(source)
+    limit = 50
+    errors = []
+    for run in (
+        lambda: run_program(program, EvalConfig(limit)),
+        lambda: list(
+            enumerate_outcomes(program, SearchOptions(max_while_iterations=limit))
+        ),
+        lambda: list(
+            enumerate_outcomes(
+                program, SearchOptions(max_rank=0, max_while_iterations=limit)
+            )
+        ),
+    ):
+        with pytest.raises(EvalError) as err:
+            run()
+        errors.append(err.value)
+    assert {(e.kind, e.pos) for e in errors} == {(kind, errors[0].pos)}
+    assert errors[0].pos[0] == 2
+    path = tmp_path / "error.rpl"
+    path.write_text(source + "\n")
+    code, out, err = run_cli(["run", str(path), "--iter-limit", str(limit)])
+    assert (code, out) == (3, "")
+    assert err == f"runtime error: {errors[0]}\n"
