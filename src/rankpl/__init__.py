@@ -31,9 +31,7 @@ from .ranking import (
     marginalize,
     min_merge,
     normalize,
-    rank_add,
     rank_of,
-    rank_sub,
 )
 from .syntax import (
     And,
@@ -103,9 +101,7 @@ __all__ = [
     "marginalize",
     "min_merge",
     "normalize",
-    "rank_add",
     "rank_of",
-    "rank_sub",
     # syntax trees
     "And",
     "Assign",

@@ -29,7 +29,7 @@ from .engine import (
 )
 from .parser import ParseError, parse_program
 from .ranking import INF, format_binding
-from .syntax import Assign, DesugarError, IntLit, Seq, Skip, desugar
+from .syntax import Assign, IntLit, Seq, Skip
 
 FAILED_MESSAGE = "failed (observation ruled out all possibilities)"
 
@@ -258,9 +258,6 @@ def cmd_run(args, out, err) -> int:
             out.write(FAILED_MESSAGE + "\n")
             return EXIT_FAILED
         return EXIT_OK
-    except DesugarError as exc:
-        err.write(f"{args.file}: static error: {exc}\n")
-        return EXIT_PARSE
     except EvalError as exc:
         err.write(f"runtime error: {exc}\n")
         return EXIT_RUNTIME
@@ -276,8 +273,8 @@ def cmd_check(args, out, err) -> int:
         err.write(f"cannot read input: {exc}\n")
         return EXIT_IO
     try:
-        desugar(parse_program(source))
-    except (ParseError, DesugarError) as exc:
+        parse_program(source)
+    except ParseError as exc:
         err.write(f"{args.file}: parse error: {exc}\n")
         return EXIT_PARSE
     out.write(f"{args.file}: ok\n")

@@ -7,17 +7,19 @@ slice before recombining at the prior ranks.  All arithmetic is exact; the
 failure ranking is a legal result, while errors (division by zero, undefined
 infinity arithmetic, runaway loops) abort the run.
 
-``_denote`` runs one statement against a budget-truncated ranking.  At an
-infinite budget nothing is pruned and the result is exact; ``run_program``
-and ``denote`` in :mod:`rankpl.evaluator` are that exact run.
+``_denote`` runs one statement of the parsed tree, sugar included, against
+a budget-truncated ranking.  At an infinite budget nothing is pruned and the
+result is exact; ``run_program`` and ``denote`` in :mod:`rankpl.evaluator`
+are that exact run.
 
 A bounded run (finite ``max_rank`` or ``max_outcomes``) runs the program
-repeatedly under a growing rank budget, pruning every choice alternative
-whose accumulated rank exceeds the budget, and emits outcomes in ascending
-rank order as soon as they are provably final.  An unbounded run wants every
-outcome, so it runs once at infinite budget, which prunes nothing, and emits
-the sorted result only when the whole program has run: a runtime error
-anywhere in it ends the stream before the first outcome.
+repeatedly under a rank budget that at least doubles per round, pruning
+every choice alternative whose accumulated rank exceeds the budget, and
+emits outcomes in ascending rank order as soon as they are provably final.
+An unbounded run wants every outcome, so it runs once at infinite budget,
+which prunes nothing, and emits the sorted result only when the whole
+program has run: a runtime error anywhere in it ends the stream before the
+first outcome.
 
 Each budget round computes a truncated ranking together with an exactness
 bound: the entries at or below the bound are exactly the full result's
@@ -39,7 +41,9 @@ from .syntax import (
     Assign,
     BinOp,
     BoolExpr,
+    ChoiceAssign,
     Cmp,
+    IfThen,
     IfThenElse,
     IntLit,
     Not,
@@ -53,9 +57,12 @@ from .syntax import (
     Seq,
     Skip,
     Stmt,
+    UniformPick,
     Var,
     While,
-    desugar,
+    desugar,  # noqa: F401  not called here; perfbench/layertrace.py wraps it
+    expand_choice_assign,
+    expand_if_then,
     expand_observe_j,
     expand_observe_l,
 )
@@ -159,26 +166,26 @@ class _Partial:
 
 
 class _Round:
-    __slots__ = ("budget", "iteration_limit", "pruned", "min_pruned")
+    __slots__ = ("budget", "iteration_limit", "min_pruned")
 
     def __init__(self, budget: int, iteration_limit: int):
         self.budget = budget
         self.iteration_limit = iteration_limit
-        self.pruned = False
         self.min_pruned = None
 
     def note_pruned(self, rank: int):
-        self.pruned = True
         if self.min_pruned is None or rank < self.min_pruned:
             self.min_pruned = rank
 
     def next_budget(self) -> int:
-        # anything dropped this round sat strictly above the budget, so the
-        # next round that can reveal new states starts at the least dropped
-        # rank; budgets in between would replay this round verbatim
+        # every round replays the program, so the budget doubles to keep the
+        # rounds few; anything dropped this round sat strictly above the
+        # budget, so a budget below the least dropped rank would replay this
+        # round verbatim
+        grown = 2 * self.budget + 1
         if self.min_pruned is not None:
-            return max(self.budget + 1, self.min_pruned)
-        return self.budget + 1
+            return max(grown, self.min_pruned)
+        return grown
 
 
 # -- expressions over partial rankings ---------------------------------------
@@ -231,27 +238,31 @@ def _apply_binop(op: str, a, b, pos):
 
 
 def _compare(op: str, a, b) -> bool:
-    # comparisons are total, including on INF
+    # comparisons are total: INF orders itself against integers
     if op == "==":
-        return a is b if (a is INF or b is INF) else a == b
+        return a == b
     if op == "<":
-        return a < b if b is not INF else a is not INF
+        return a < b
     if op == "<=":
-        return not _compare("<", b, a)
+        return a <= b
     raise AssertionError(f"unknown comparison {op!r}")
+
+
+def _indices(sigma: Valuation, partial: _Partial, exprs: tuple, pos) -> tuple:
+    indices = []
+    for ix in exprs:
+        value = _eval_num(sigma, partial, ix)
+        if value is INF:
+            raise EvalError("undefined-infinity-arith", pos, "inf as array index")
+        indices.append(value)
+    return tuple(indices)
 
 
 def _eval_num(sigma: Valuation, partial: _Partial, e: NumExpr):
     if isinstance(e, IntLit):
         return e.value
     if isinstance(e, Var):
-        indices = []
-        for ix in e.indices:
-            value = _eval_num(sigma, partial, ix)
-            if value is INF:
-                raise EvalError("undefined-infinity-arith", e.pos, "inf as array index")
-            indices.append(value)
-        return sigma.get(e.name, tuple(indices))
+        return sigma.get(e.name, _indices(sigma, partial, e.indices, e.pos))
     if isinstance(e, RankOf):
         # the value depends on the ranking alone, so scan it once per node
         value = partial.ranks.get(e)
@@ -333,6 +344,12 @@ def _checked(rank: int, pos) -> int:
 
 
 def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
+    # a sequence runs its right spine in a loop, so a long program needs no
+    # deep recursion
+    while isinstance(s, Seq):
+        p = _denote(s.first, p, ctx)
+        s = s.second
+
     if p.proven_failure:
         # failure in, failure out: expressions are never evaluated
         return p
@@ -340,30 +357,34 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
     if isinstance(s, Skip):
         return p
 
-    if isinstance(s, Seq):
-        return _denote(s.second, _denote(s.first, p, ctx), ctx)
-
-    if isinstance(s, Assign):
+    if isinstance(s, (Assign, UniformPick)):
+        # any_of assigns every value of its range at the state's own rank
         entries: dict[Valuation, int] = {}
         for sigma, rank in p.entries.items():
-            indices = []
-            for ix in s.indices:
-                value = _eval_num(sigma, p, ix)
-                if value is INF:
+            indices = _indices(sigma, p, s.indices, s.pos)
+            if isinstance(s, UniformPick):
+                values = range(s.lower, s.upper + 1)
+            else:
+                values = (_eval_num(sigma, p, s.value),)
+                if values[0] is INF:
                     raise EvalError(
-                        "undefined-infinity-arith", s.pos, "inf as array index"
+                        "undefined-infinity-arith",
+                        s.pos,
+                        "cannot store inf in a variable",
                     )
-                indices.append(value)
-            value = _eval_num(sigma, p, s.value)
-            if value is INF:
-                raise EvalError(
-                    "undefined-infinity-arith", s.pos, "cannot store inf in a variable"
-                )
-            image = sigma.assign(s.name, tuple(indices), value)
-            current = entries.get(image)
-            if current is None or rank < current:
-                entries[image] = rank
+            for value in values:
+                image = sigma.assign(s.name, indices, value)
+                current = entries.get(image)
+                if current is None or rank < current:
+                    entries[image] = rank
         return _Partial(dict(sorted(entries.items())), p.bound)
+
+    # the other sugar runs as its core form, built per visit the way a loop
+    # builds its step
+    if isinstance(s, IfThen):
+        s = expand_if_then(s)
+    elif isinstance(s, ChoiceAssign):
+        s = expand_choice_assign(s)
 
     if isinstance(s, Observe):
         kept = {
@@ -485,17 +506,13 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
             expansion = expand_observe_l(s.strength, s.cond, pos=s.pos)
         return _denote(expansion, p, ctx)
 
-    lowered = desugar(s, keep_observe_forms=True)
-    if type(lowered) is type(s):
-        raise TypeError(f"not a statement: {s!r}")
-    return _denote(lowered, p, ctx)
+    raise TypeError(f"not a statement: {s!r}")
 
 
 # -- deepening driver ----------------------------------------------------------
 
 
-def _stream(s: Stmt, opts: SearchOptions, state: dict):
-    program = desugar(s, keep_observe_forms=True)
+def _stream(program: Stmt, opts: SearchOptions, state: dict):
     emitted: set[Valuation] = set()
     count = 0
     # with every outcome wanted, deepening would only replay the program;
@@ -548,7 +565,7 @@ def enumerate_outcomes(s: Stmt, opts: SearchOptions | None = None) -> OutcomeStr
     cuts enumeration off before anything could be proven.
 
     With a finite ``max_rank`` or a ``max_outcomes`` the program runs
-    repeatedly under a growing rank budget and outcomes stream out as soon
+    repeatedly under a doubling rank budget and outcomes stream out as soon
     as they are proven, so a runtime error in a costlier alternative can
     follow some outcomes.  Without either limit the program runs once,
     exactly, and nothing is yielded before that run completes.

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from .engine import EvalError, _denote, _Partial, _Round
 from .ranking import FAILURE, INF, Ranking, Valuation
 
-# perfbench/layertrace.py counts desugaring and observeJ/observeL expansion
-# by patching these names on this module and on rankpl.engine, so both keep them
+# perfbench/layertrace.py wraps desugar and the observeJ/observeL expansions
+# on this module and on rankpl.engine, so both keep these names; none is
+# called here
 from .syntax import Stmt, desugar, expand_observe_j, expand_observe_l  # noqa: F401
 
 __all__ = ["EvalConfig", "EvalError", "denote", "initial_ranking", "run_program"]
@@ -36,7 +37,7 @@ def initial_ranking() -> Ranking:
 
 
 def denote(s: Stmt, kappa: Ranking, cfg: EvalConfig | None = None) -> Ranking:
-    """Run one (desugared) statement against a prior ranking, exactly."""
+    """Run one statement, sugar included, against a prior ranking, exactly."""
     cfg = cfg or EvalConfig()
     result = _denote(
         s, _Partial(dict(kappa.items()), INF), _Round(INF, cfg.max_while_iterations)
@@ -45,9 +46,5 @@ def denote(s: Stmt, kappa: Ranking, cfg: EvalConfig | None = None) -> Ranking:
 
 
 def run_program(s: Stmt, cfg: EvalConfig | None = None) -> Ranking:
-    """Desugar and run a whole program from the initial ranking.
-
-    observeJ/observeL keep their statement form so their definedness is
-    checked against the ranking they run on.
-    """
-    return denote(desugar(s, keep_observe_forms=True), initial_ranking(), cfg)
+    """Run a whole program, as parsed, from the initial ranking."""
+    return denote(s, initial_ranking(), cfg)

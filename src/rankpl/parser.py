@@ -26,6 +26,7 @@ from .syntax import (
     BoolExpr,
     ChoiceAssign,
     Cmp,
+    DesugarError,
     IfThen,
     IfThenElse,
     IntLit,
@@ -312,14 +313,20 @@ class _Parser:
             indices.append(self.num_expr())
             self.expect("]")
         self.expect(":=")
-        if self.accept("any_of"):
+        if self.at("any_of"):
+            any_of = self.advance()
             self.expect("(")
             lower = self.int_literal()
             self.expect("..")
             upper = self.int_literal()
             self.expect(")")
             self.terminator(stop)
-            return UniformPick(name_tok.text, tuple(indices), lower, upper, pos=where)
+            try:
+                return UniformPick(
+                    name_tok.text, tuple(indices), lower, upper, pos=where
+                )
+            except DesugarError as exc:
+                raise ParseError(str(exc), any_of.line, any_of.column) from None
         value = self.num_expr()
         if self.accept("or"):
             self.expect("(")
@@ -475,10 +482,11 @@ def parse_program(source: str) -> Stmt:
     """Parse a whole program into one statement tree.
 
     The source is split by ``tokenize`` first.  Sequences come out
-    right-nested and sugar survives for ``desugar``.  An empty program is
-    accepted and behaves like ``skip``.  Raises ``ParseError`` on a syntax
-    error, and ``ParseError("program nested too deeply")`` at the token being
-    read when the nesting exhausts Python's recursion limit.
+    right-nested and sugar survives, for the interpreter to run as it is.
+    An empty program is accepted and behaves like ``skip``.  Raises
+    ``ParseError`` on a syntax error, at the ``any_of`` token on an empty
+    range, and ``ParseError("program nested too deeply")`` at the token
+    being read when the nesting exhausts Python's recursion limit.
     """
     parser = _Parser(tokenize(source))
     try:

@@ -105,31 +105,6 @@ def as_rank(value) -> Rank:
     return value
 
 
-def rank_add(a: Rank, b: Rank) -> Rank:
-    """Checked addition: finite overflow is an error, INF absorbs."""
-    if a is INF or b is INF:
-        return INF
-    total = a + b
-    if total >= RANK_LIMIT:
-        raise RankArithmeticError(f"rank overflow: {a} + {b}")
-    return total
-
-
-def rank_sub(a: Rank, b: Rank) -> Rank:
-    """Checked subtraction: INF - finite = INF; finite - INF, INF - INF and
-    negative results are errors."""
-    if b is INF:
-        raise RankArithmeticError(
-            "inf - inf is undefined" if a is INF else "finite - inf is undefined"
-        )
-    if a is INF:
-        return INF
-    diff = a - b
-    if diff < 0:
-        raise RankArithmeticError(f"negative rank: {a} - {b}")
-    return diff
-
-
 _Key = "tuple[str, tuple[int, ...]]"
 
 

@@ -1,9 +1,10 @@
 """Abstract syntax for RankPL programs, desugaring and pretty-printing.
 
 Statements come in seven core forms (skip, sequence, assignment, conditional,
-loop, ranked choice, observation) plus sugar that :func:`desugar` lowers onto
-them.  Trees are immutable; source positions ride along for error reporting
-but never take part in equality.
+loop, ranked choice, observation) plus sugar.  The interpreter runs the sugar
+as it comes; :func:`desugar` is the reference lowering onto the core forms.
+Trees are immutable; source positions ride along for error reporting but
+never take part in equality.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ Pos = "tuple[int, int]"
 
 
 class DesugarError(ValueError):
-    """A statically detectable problem while lowering sugar."""
+    """A sugar node that has no meaning, such as an empty ``any_of`` range."""
 
 
 # -- expressions --------------------------------------------------------------
@@ -180,6 +181,10 @@ class UniformPick(Stmt):
     upper: int
     pos: Pos = field(default=None, compare=False)
 
+    def __post_init__(self):
+        if self.lower > self.upper:
+            raise DesugarError(f"empty range in any_of({self.lower} .. {self.upper})")
+
 
 @dataclass(frozen=True)
 class ObserveJ(Stmt):
@@ -205,6 +210,21 @@ CORE_STMTS = (Skip, Seq, Assign, IfThenElse, While, RankedChoice, Observe)
 
 
 # -- expansions ---------------------------------------------------------------
+
+
+def expand_if_then(s: IfThen) -> Stmt:
+    """``if b then { s }`` is ``if b then { s } else { skip }``."""
+    return IfThenElse(s.cond, s.then_branch, Skip(pos=s.pos), pos=s.pos)
+
+
+def expand_choice_assign(s: ChoiceAssign) -> Stmt:
+    """``x := e1 or(e) e2`` is a ranked choice between two assignments."""
+    return RankedChoice(
+        Assign(s.name, s.indices, s.first, pos=s.pos),
+        s.rank,
+        Assign(s.name, s.indices, s.second, pos=s.pos),
+        pos=s.pos,
+    )
 
 
 def expand_observe_j(strength: NumExpr, cond: BoolExpr, pos: Pos = None) -> Stmt:
@@ -283,18 +303,18 @@ def desugar_bool(b: BoolExpr) -> BoolExpr:
     raise TypeError(f"not a boolean expression: {b!r}")
 
 
-def desugar(s: Stmt, *, keep_observe_forms: bool = False) -> Stmt:
+def desugar(s: Stmt) -> Stmt:
     """Lower a statement onto the core constructors.
 
-    With ``keep_observe_forms`` the observeJ/observeL statements survive (with
-    desugared children) so an evaluator can check their definedness against
-    the ranking they actually run on; everything else is always lowered.
+    This is the reference lowering: the interpreter runs sugar directly, and
+    the lowered tree has the same meaning except that observeJ/observeL lose
+    their check that the condition and its negation both have finite rank.
     """
     if isinstance(s, Skip):
         return s
     if isinstance(s, Seq):
-        first = desugar(s.first, keep_observe_forms=keep_observe_forms)
-        second = desugar(s.second, keep_observe_forms=keep_observe_forms)
+        first = desugar(s.first)
+        second = desugar(s.second)
         # canonicalize to the parser's right-nested shape (composition is
         # associative, so this is meaning-preserving)
         while isinstance(first, Seq):
@@ -311,45 +331,30 @@ def desugar(s: Stmt, *, keep_observe_forms: bool = False) -> Stmt:
     if isinstance(s, IfThenElse):
         return IfThenElse(
             desugar_bool(s.cond),
-            desugar(s.then_branch, keep_observe_forms=keep_observe_forms),
-            desugar(s.else_branch, keep_observe_forms=keep_observe_forms),
+            desugar(s.then_branch),
+            desugar(s.else_branch),
             pos=s.pos,
         )
     if isinstance(s, While):
         return While(
             desugar_bool(s.cond),
-            desugar(s.body, keep_observe_forms=keep_observe_forms),
+            desugar(s.body),
             pos=s.pos,
         )
     if isinstance(s, RankedChoice):
         return RankedChoice(
-            desugar(s.first, keep_observe_forms=keep_observe_forms),
+            desugar(s.first),
             desugar_num(s.rank),
-            desugar(s.second, keep_observe_forms=keep_observe_forms),
+            desugar(s.second),
             pos=s.pos,
         )
     if isinstance(s, Observe):
         return Observe(desugar_bool(s.cond), pos=s.pos)
     if isinstance(s, IfThen):
-        return desugar(
-            IfThenElse(s.cond, s.then_branch, Skip(pos=s.pos), pos=s.pos),
-            keep_observe_forms=keep_observe_forms,
-        )
+        return desugar(expand_if_then(s))
     if isinstance(s, ChoiceAssign):
-        return desugar(
-            RankedChoice(
-                Assign(s.name, s.indices, s.first, pos=s.pos),
-                s.rank,
-                Assign(s.name, s.indices, s.second, pos=s.pos),
-                pos=s.pos,
-            ),
-            keep_observe_forms=keep_observe_forms,
-        )
+        return desugar(expand_choice_assign(s))
     if isinstance(s, UniformPick):
-        if s.lower > s.upper:
-            raise DesugarError(
-                f"empty range in any_of({s.lower} .. {s.upper})"
-            )
         picks = Assign(s.name, s.indices, IntLit(s.upper, pos=s.pos), pos=s.pos)
         for n in range(s.upper - 1, s.lower - 1, -1):
             picks = RankedChoice(
@@ -358,19 +363,11 @@ def desugar(s: Stmt, *, keep_observe_forms: bool = False) -> Stmt:
                 picks,
                 pos=s.pos,
             )
-        return desugar(picks, keep_observe_forms=keep_observe_forms)
+        return desugar(picks)
     if isinstance(s, ObserveJ):
-        strength = desugar_num(s.strength)
-        cond = desugar_bool(s.cond)
-        if keep_observe_forms:
-            return ObserveJ(strength, cond, pos=s.pos)
-        return desugar(expand_observe_j(strength, cond, pos=s.pos))
+        return desugar(expand_observe_j(s.strength, s.cond, pos=s.pos))
     if isinstance(s, ObserveL):
-        strength = desugar_num(s.strength)
-        cond = desugar_bool(s.cond)
-        if keep_observe_forms:
-            return ObserveL(strength, cond, pos=s.pos)
-        return desugar(expand_observe_l(strength, cond, pos=s.pos))
+        return desugar(expand_observe_l(s.strength, s.cond, pos=s.pos))
     raise TypeError(f"not a statement: {s!r}")
 
 

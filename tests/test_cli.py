@@ -148,8 +148,41 @@ class TestRun:
     def test_static_error_exit_code(self, tmp_path):
         path = tmp_path / "static.rpl"
         path.write_text("x := any_of(3 .. 1);\n")
-        code, _, err = run_cli(["run", str(path)])
-        assert code == 2 and "static error" in err
+        code, out, err = run_cli(["run", str(path)])
+        assert (code, out) == (2, "")
+        message = "line 1, column 6: empty range in any_of(3 .. 1)"
+        assert err == f"{path}: parse error: {message}\n"
+
+    def test_empty_range_in_an_untaken_branch_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "untaken.rpl"
+        path.write_text("x := 0;\nif x == 1 then { y := any_of(3 .. 1); }\n")
+        message = "line 2, column 23: empty range in any_of(3 .. 1)"
+        expected = f"{path}: parse error: {message}\n"
+        assert run_cli(["run", str(path)]) == (2, "", expected)
+        assert run_cli(["check", str(path)]) == (2, "", expected)
+
+    def test_wide_any_of_runs(self, tmp_path):
+        path = tmp_path / "wide.rpl"
+        path.write_text("x := any_of(0 .. 2000);\n")
+        code, out, err = run_cli(["run", str(path), "--project", "x"])
+        assert (code, err) == (0, "")
+        assert out == "".join(f"rank 0: x={i}\n" for i in range(2001))
+
+    def test_long_program_runs_and_checks(self, tmp_path):
+        path = tmp_path / "long.rpl"
+        path.write_text("x := 0;\n" + "x := x + 1;\n" * 2999)
+        code, out, err = run_cli(["run", str(path), "--project", "x"])
+        assert (code, out, err) == (0, "rank 0: x=2999\n", "")
+        assert run_cli(["check", str(path)]) == (0, f"{path}: ok\n", "")
+
+    def test_large_define_runs(self, tmp_path):
+        path = tmp_path / "indexed.rpl"
+        path.write_text("x := a[1999];\n")
+        array = "[" + ", ".join(str(i) for i in range(2000)) + "]"
+        code, out, err = run_cli(
+            ["run", str(path), "--define", f"a={array}", "--project", "x"]
+        )
+        assert (code, out, err) == (0, "rank 0: x=1999\n", "")
 
     def test_missing_file(self, tmp_path):
         code, _, err = run_cli(["run", str(tmp_path / "absent.rpl")])

@@ -3,9 +3,11 @@ import random
 import pytest
 
 import rankpl.engine
+import rankpl.evaluator
+import rankpl.syntax
 from conftest import run_cli
 from oracle import oracle_ranking
-from proggen import random_program
+from proggen import random_program, random_sugar_program
 from rankpl.engine import (
     ERROR_KINDS,
     Outcome,
@@ -28,7 +30,7 @@ from rankpl.ranking import (
     normalize,
     rank_of,
 )
-from rankpl.syntax import desugar
+from rankpl.syntax import Stmt
 
 INTRO = (
     "x := 10; either {y:=1} or (1) { either {y:=2} or (1) {y:=3} }; x := x*y;"
@@ -49,11 +51,11 @@ class TestEnumerate:
         assert got == [Outcome(Valuation({"x": 10, "y": 1}), 0)]
 
     def test_budget_zero_round_never_materializes_alternatives(self):
-        program = desugar(parse_program(INTRO), keep_observe_forms=True)
+        program = parse_program(INTRO)
         round0 = _Round(0, 10000)
         result = _denote(program, _Partial({Valuation(): 0}, INF), round0)
         assert list(result.entries.items()) == [(Valuation({"x": 10, "y": 1}), 0)]
-        assert round0.pruned and round0.min_pruned == 1
+        assert round0.min_pruned == 1
 
     def test_observed_intro_enumerates_in_rank_order(self):
         got = outcomes(INTRO_OBSERVE)
@@ -152,6 +154,21 @@ class TestOracleEquivalence:
             assert {o.valuation: o.rank for o in stream} == reference.as_dict()
             assert stream.failed == reference.is_failure
 
+    def test_sugar_programs_match_reference(self):
+        # the interpreter runs if-then, x := a or(k) b, any_of, &&, <= and
+        # observeJ/observeL as parsed; the oracle runs their full lowering
+        rng = random.Random(6006)
+        for _ in range(300):
+            program = random_sugar_program(rng)
+            reference = oracle_ranking(program)
+            assert run_program(program) == reference
+            assert enumerate_collect(program) == reference
+            for cap in (0, 1, 2):
+                stream = enumerate_outcomes(program, SearchOptions(max_rank=cap))
+                got = {o.valuation: o.rank for o in stream}
+                assert got == {v: r for v, r in reference.items() if r <= cap}
+                assert stream.failed == reference.is_failure
+
     def test_outcomes_ascend_and_never_repeat(self):
         rng = random.Random(99)
         for _ in range(100):
@@ -164,6 +181,61 @@ class TestOracleEquivalence:
                     assert outcome.valuation not in seen
                     seen.add(outcome.valuation)
                     last = outcome.rank
+
+
+class TestParsedTreeRunsDirectly:
+    SOURCE = (
+        "x := any_of(0 .. 2); y := 1 or(x) 2; "
+        "if x <= 1 && y == 1 then { observeL(1, x == 0); }; "
+        "either { observeJ(2, x == 0); } or (1) { skip; };"
+    )
+
+    def test_no_entry_point_desugars(self, monkeypatch, tmp_path):
+        program = parse_program(self.SOURCE)
+        reference = oracle_ranking(program)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("desugar called on the run path")
+
+        for module in (rankpl.syntax, rankpl.engine, rankpl.evaluator):
+            monkeypatch.setattr(module, "desugar", refuse)
+        assert run_program(program) == reference
+        assert enumerate_collect(program) == reference
+        assert enumerate_collect(program, SearchOptions(max_rank=1)) == Ranking(
+            {v: r for v, r in reference.items() if r <= 1}
+        )
+        path = tmp_path / "sugar.rpl"
+        path.write_text(self.SOURCE)
+        assert run_cli(["check", str(path)])[0] == 0
+        assert run_cli(["run", str(path)])[0] == 0
+
+    def test_unknown_node_is_a_type_error(self):
+        class Unknown(Stmt):
+            pass
+
+        with pytest.raises(TypeError, match="not a statement"):
+            run_program(Unknown())
+
+
+class TestBudgets:
+    def test_bounded_loop_deepens_in_few_rounds(self, monkeypatch):
+        # the least pruned rank is one above each budget, so budgets that grew
+        # by one would take 301 rounds to reach rank 300; doubling takes 10
+        budgets = []
+        make_round = rankpl.engine._Round
+
+        def counting(budget, iteration_limit):
+            budgets.append(budget)
+            return make_round(budget, iteration_limit)
+
+        monkeypatch.setattr(rankpl.engine, "_Round", counting)
+        program = parse_program(
+            "x := 0; while x < 1 do { either { x := 1; } or (1) { skip; }; };"
+        )
+        got = list(enumerate_outcomes(program, SearchOptions(max_rank=300)))
+        assert got == [Outcome(Valuation({"x": 1}), 0)]
+        assert len(budgets) <= 10
+        assert budgets[:4] == [0, 1, 3, 7]
 
 
 class TestRankOfOncePerRanking:

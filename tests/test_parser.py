@@ -193,6 +193,12 @@ class TestParseProgram:
     def test_any_of(self):
         assert parse_program("x := any_of(0 .. 7);") == UniformPick("x", (), 0, 7)
 
+    def test_empty_any_of_range_is_an_error_at_the_any_of_token(self):
+        with pytest.raises(ParseError) as err:
+            parse_program("x := 0;\nif x == 1 then { y := any_of(3 .. 1); }")
+        assert (err.value.line, err.value.column) == (2, 23)
+        assert err.value.message == "empty range in any_of(3 .. 1)"
+
     def test_choice_assignment_sugar(self):
         assert parse_program("a1 := 0 or(1) 1;") == ChoiceAssign(
             "a1", (), IntLit(0), IntLit(1), IntLit(1)
