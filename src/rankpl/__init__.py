@@ -38,10 +38,8 @@ from .syntax import (
     Assign,
     BinOp,
     BoolExpr,
-    ChoiceAssign,
     Cmp,
     DesugarError,
-    IfThen,
     IfThenElse,
     IntLit,
     Not,
@@ -107,10 +105,8 @@ __all__ = [
     "Assign",
     "BinOp",
     "BoolExpr",
-    "ChoiceAssign",
     "Cmp",
     "DesugarError",
-    "IfThen",
     "IfThenElse",
     "IntLit",
     "Not",

@@ -7,10 +7,16 @@ slice before recombining at the prior ranks.  All arithmetic is exact; the
 failure ranking is a legal result, while errors (division by zero, undefined
 infinity arithmetic, runaway loops) abort the run.
 
-``_denote`` runs one statement of the parsed tree, sugar included, against
-a budget-truncated ranking.  At an infinite budget nothing is pruned and the
-result is exact; ``run_program`` and ``denote`` in :mod:`rankpl.evaluator`
-are that exact run.
+``_denote`` runs one statement of the parsed tree against a
+budget-truncated ranking.  The parser has already built ``if … then`` and
+``x := e1 or(e) e2`` as core statements; the sugar left, ``any_of`` and
+``observeJ``/``observeL``, runs as it is, and only the observations build
+nodes at run time, their lowering.  A conditional and a loop iteration are
+one branching step: the guard is tested once per state, and each slice runs
+renormalized and is lifted back into one merge, as each group of a ranked
+choice's penalized alternative is.  At an infinite budget nothing is pruned
+and the result is exact; ``run_program`` and ``denote`` in
+:mod:`rankpl.evaluator` are that exact run.
 
 A bounded run (finite ``max_rank`` or ``max_outcomes``) runs the program
 repeatedly under a rank budget that at least doubles per round, pruning
@@ -35,15 +41,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ranking import FAILURE, INF, RANK_LIMIT, Ranking, Valuation
+from .ranking import FAILURE, INF, RANK_LIMIT, RankArithmeticError, Ranking, Valuation
 from .syntax import (
     And,
     Assign,
     BinOp,
     BoolExpr,
-    ChoiceAssign,
     Cmp,
-    IfThen,
     IfThenElse,
     IntLit,
     Not,
@@ -61,10 +65,9 @@ from .syntax import (
     Var,
     While,
     desugar,  # noqa: F401  not called here; perfbench/layertrace.py wraps it
-    expand_choice_assign,
-    expand_if_then,
     expand_observe_j,
     expand_observe_l,
+    statements,
 )
 
 ERROR_KINDS = (
@@ -213,17 +216,17 @@ def _bit_op(op: str, a, b, pos) -> int:
 
 
 def _apply_binop(op: str, a, b, pos):
-    """Value arithmetic: integers plus an absorbing infinity where defined."""
+    """Value arithmetic: integers plus an absorbing infinity where defined.
+    ``+`` and ``-`` are the rank arithmetic of ``INF``'s own operators."""
     if op == "+":
-        if a is INF or b is INF:
-            return INF
         return a + b
     if op == "-":
-        if b is INF:
-            raise EvalError("undefined-infinity-arith", pos, "subtracting inf")
-        if a is INF:
-            return INF
-        return a - b
+        try:
+            return a - b
+        except RankArithmeticError:
+            raise EvalError(
+                "undefined-infinity-arith", pos, "subtracting inf"
+            ) from None
     if op in ("xor", "band", "bor"):
         return _bit_op(op, a, b, pos)
     if a is INF or b is INF:
@@ -343,12 +346,71 @@ def _checked(rank: int, pos) -> int:
     return rank
 
 
+def _run_slice(
+    stmt: Stmt, part: dict, offset: int, p: _Partial, pos, ctx: _Round
+) -> tuple:
+    """One contribution to a merge: run ``stmt`` on ``part``, a non-empty
+    slice of ``p``'s entries renormalized to start at rank 0, and lift the
+    result back to the slice's least rank plus ``offset``.  Only a choice's
+    penalized alternative can start above the budget: every visible entry
+    lies within it."""
+    shift = min(part.values())
+    lift = shift + offset
+    if lift > ctx.budget:
+        # the whole slice starts above the budget: prune it unrun, but
+        # remember that nothing below the budget is missing
+        ctx.note_pruned(lift)
+        return {}, ctx.budget
+    sub = _Partial(
+        {sigma: rank - shift for sigma, rank in part.items()}, p.bound - shift
+    )
+    result = _denote(stmt, sub, ctx)
+    return (
+        {sigma: _checked(rank + lift, pos) for sigma, rank in result.entries.items()},
+        result.bound + lift,
+    )
+
+
+def _branch(
+    s, then_branch: Stmt, else_branch, p: _Partial, ctx: _Round, iteration: int = 0
+):
+    """One conditional step of ``s``, an ``if`` or a loop: test the guard
+    once per state, run each branch on its slice and merge.
+
+    A loop passes no ``else_branch`` and the number of the iteration this
+    step would run: the states that fail its guard pass through unchanged,
+    the iteration limit is checked at the first state that satisfies it,
+    and the step returns None when no state does.
+    """
+    sats: dict[Valuation, int] = {}
+    fails: dict[Valuation, int] = {}
+    for sigma, rank in p.entries.items():
+        if not _holds(sigma, p, s.cond):
+            fails[sigma] = rank
+        else:
+            if iteration > ctx.iteration_limit and not sats:
+                raise EvalError("iteration-limit", s.pos)
+            sats[sigma] = rank
+    contributions = []
+    if sats:
+        contributions.append(_run_slice(then_branch, sats, 0, p, s.pos, ctx))
+    elif else_branch is None:
+        return None
+    if fails:
+        if else_branch is None:
+            contributions.append((fails, p.bound))
+        else:
+            contributions.append(_run_slice(else_branch, fails, 0, p, s.pos, ctx))
+    return _merge(contributions, p.bound, ctx)
+
+
 def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
-    # a sequence runs its right spine in a loop, so a long program needs no
-    # deep recursion
-    while isinstance(s, Seq):
-        p = _denote(s.first, p, ctx)
-        s = s.second
+    if isinstance(s, Seq):
+        # any nesting of sequences runs in a loop, so a long program needs
+        # no deep recursion
+        for stmt in statements(s):
+            p = _denote(stmt, p, ctx)
+        return p
 
     if p.proven_failure:
         # failure in, failure out: expressions are never evaluated
@@ -379,13 +441,6 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
                     entries[image] = rank
         return _Partial(dict(sorted(entries.items())), p.bound)
 
-    # the other sugar runs as its core form, built per visit the way a loop
-    # builds its step
-    if isinstance(s, IfThen):
-        s = expand_if_then(s)
-    elif isinstance(s, ChoiceAssign):
-        s = expand_choice_assign(s)
-
     if isinstance(s, Observe):
         kept = {
             sigma: rank
@@ -402,34 +457,7 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
         )
 
     if isinstance(s, IfThenElse):
-        sats = {
-            sigma for sigma in p.entries if _holds(sigma, p, s.cond)
-        }
-        contributions = []
-        for wanted, branch in ((True, s.then_branch), (False, s.else_branch)):
-            side = {
-                sigma: rank
-                for sigma, rank in p.entries.items()
-                if (sigma in sats) == wanted
-            }
-            if not side:
-                if p.bound is not INF:
-                    # the whole side may hide above the bound
-                    contributions.append(({}, p.bound))
-                continue
-            shift = min(side.values())
-            sub = _Partial(
-                {sigma: rank - shift for sigma, rank in side.items()},
-                p.bound - shift,
-            )
-            result = _denote(branch, sub, ctx)
-            contributions.append(
-                (
-                    {sig: _checked(r + shift, s.pos) for sig, r in result.entries.items()},
-                    result.bound + shift,
-                )
-            )
-        return _merge(contributions, p.bound, ctx)
+        return _branch(s, s.then_branch, s.else_branch, p, ctx)
 
     if isinstance(s, RankedChoice):
         left = _denote(s.first, p, ctx)
@@ -447,45 +475,19 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
                 )
             groups.setdefault(offset, {})[sigma] = rank
         for offset, part in sorted(groups.items()):
-            shift = min(part.values())
-            if shift + offset > ctx.budget:
-                # the whole alternative starts above the budget: prune it
-                # unrun, but remember that nothing below the budget is missing
-                ctx.note_pruned(shift + offset)
-                contributions.append(({}, ctx.budget))
-                continue
-            sub = _Partial(
-                {sigma: rank - shift for sigma, rank in part.items()},
-                p.bound - shift,
-            )
-            result = _denote(s.second, sub, ctx)
-            contributions.append(
-                (
-                    {
-                        sig: _checked(r + shift + offset, s.pos)
-                        for sig, r in result.entries.items()
-                    },
-                    result.bound + shift + offset,
-                )
-            )
+            contributions.append(_run_slice(s.second, part, offset, p, s.pos, ctx))
         return _merge(contributions, p.bound, ctx)
 
     if isinstance(s, While):
-        step = IfThenElse(s.cond, s.body, Skip(pos=s.pos), pos=s.pos)
-        current = p
-        iterations = 0
+        iteration = 0
         while True:
-            live = any(
-                _holds(sigma, current, s.cond) for sigma in current.entries
-            )
-            if not live:
+            iteration += 1
+            stepped = _branch(s, s.body, None, p, ctx, iteration)
+            if stepped is None:
                 # nothing visible satisfies the guard; hidden states churn
                 # strictly above the bound and never disturb what is below it
-                return current
-            iterations += 1
-            if iterations > ctx.iteration_limit:
-                raise EvalError("iteration-limit", s.pos)
-            current = _denote(step, current, ctx)
+                return p
+            p = stepped
 
     if isinstance(s, (ObserveJ, ObserveL)):
         holders = 0

@@ -3,11 +3,11 @@
 The textual rendering is deliberately plain ASCII: ``:=`` assignment, ``==``
 ``<`` ``<=`` ``>`` ``>=`` ``!=`` comparisons, ``!`` ``&&`` ``||`` boolean
 operators, ``rank(b)`` rank expressions, ``either { s1 } or (e) { s2 }``
-ranked choice with the sugars ``x := e1 or(e) e2`` and ``x := any_of(lo ..
-hi)``, and ``observeJ(x, b)`` / ``observeL(x, b)`` for the generalized
-observations.  ``//`` starts a line comment.  Simple statements end with
-``;`` (omittable before ``}`` or end of input); block statements may carry an
-optional ``;``.
+ranked choice, ``x := e1 or(e) e2`` and ``if b then { s }`` (built as the
+core statements they abbreviate), the sugar ``x := any_of(lo .. hi)``, and
+``observeJ(x, b)`` / ``observeL(x, b)`` for the generalized observations.
+``//`` starts a line comment.  Simple statements end with ``;`` (omittable
+before ``}`` or end of input); block statements may carry an optional ``;``.
 
 Operator precedence, tightest first: unary ``!`` on booleans; ``*`` ``/``
 ``%``; ``+`` ``-``; ``xor`` ``band`` ``bor``; comparisons; ``&&``; ``||``.
@@ -24,10 +24,8 @@ from .syntax import (
     Assign,
     BinOp,
     BoolExpr,
-    ChoiceAssign,
     Cmp,
     DesugarError,
-    IfThen,
     IfThenElse,
     IntLit,
     Not,
@@ -93,12 +91,11 @@ class Token(NamedTuple):
 
 
 class ParseError(Exception):
-    def __init__(self, message, line, column, expected=frozenset()):
+    def __init__(self, message, line, column):
         super().__init__(f"line {line}, column {column}: {message}")
         self.message = message
         self.line = line
         self.column = column
-        self.expected = frozenset(expected)
 
 
 def tokenize(source: str) -> list[Token]:
@@ -193,13 +190,12 @@ class _Parser:
                 f"expected '{text}', found '{tok.text or 'end of input'}'",
                 tok.line,
                 tok.column,
-                expected={text},
             )
         self.pos += 1
 
-    def fail(self, message: str, expected=frozenset()):
+    def fail(self, message: str):
         tok = self.tokens[self.pos]
-        raise ParseError(message, tok.line, tok.column, expected)
+        raise ParseError(message, tok.line, tok.column)
 
     # statements
 
@@ -269,15 +265,15 @@ class _Parser:
         self.expect("then")
         then_branch = self.block()
         where = (tok.line, tok.column)
-        if self.accept("else"):
-            if self.at("if"):
-                else_branch = self.if_statement(self.tokens[self.pos], stop)
-            else:
-                else_branch = self.block()
-                self.accept(";")
-            return IfThenElse(cond, then_branch, else_branch, pos=where)
-        self.accept(";")
-        return IfThen(cond, then_branch, pos=where)
+        if not self.accept("else"):
+            self.accept(";")
+            else_branch = Skip(pos=where)
+        elif self.at("if"):
+            else_branch = self.if_statement(self.tokens[self.pos], stop)
+        else:
+            else_branch = self.block()
+            self.accept(";")
+        return IfThenElse(cond, then_branch, else_branch, pos=where)
 
     def while_statement(self, tok, stop) -> Stmt:
         self.pos += 1
@@ -303,7 +299,7 @@ class _Parser:
         if text == ";":
             self.pos += 1
         elif text not in stop:
-            self.fail("expected ';'", expected={";"})
+            self.fail("expected ';'")
 
     def assignment(self, name_tok, stop) -> Stmt:
         self.pos += 1
@@ -334,8 +330,12 @@ class _Parser:
             self.expect(")")
             second = self.num_expr()
             self.terminator(stop)
-            return ChoiceAssign(
-                name_tok.text, tuple(indices), value, rank, second, pos=where
+            name, indices = name_tok.text, tuple(indices)
+            return RankedChoice(
+                Assign(name, indices, value, pos=where),
+                rank,
+                Assign(name, indices, second, pos=where),
+                pos=where,
             )
         self.terminator(stop)
         return Assign(name_tok.text, tuple(indices), value, pos=where)
@@ -389,9 +389,7 @@ class _Parser:
     def comparison(self) -> BoolExpr:
         left = self.num_expr()
         if self.texts[self.pos] not in _CMP_TOKENS:
-            self.fail(
-                "expected a comparison operator", expected=_CMP_TOKENS
-            )
+            self.fail("expected a comparison operator")
         tok = self.advance()
         right = self.num_expr()
         where = (tok.line, tok.column)
@@ -482,7 +480,11 @@ def parse_program(source: str) -> Stmt:
     """Parse a whole program into one statement tree.
 
     The source is split by ``tokenize`` first.  Sequences come out
-    right-nested and sugar survives, for the interpreter to run as it is.
+    right-nested.  ``if b then { s }`` comes out as ``if b then { s } else
+    { skip }`` and ``x := e1 or(e) e2`` as a ranked choice between two
+    assignments, both at the statement's position; ``any_of`` and
+    ``observeJ``/``observeL`` stay sugar nodes, for the interpreter to run
+    as they are.
     An empty program is accepted and behaves like ``skip``.  Raises
     ``ParseError`` on a syntax error, at the ``any_of`` token on an empty
     range, and ``ParseError("program nested too deeply")`` at the token

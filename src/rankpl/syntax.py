@@ -1,10 +1,12 @@
 """Abstract syntax for RankPL programs, desugaring and pretty-printing.
 
 Statements come in seven core forms (skip, sequence, assignment, conditional,
-loop, ranked choice, observation) plus sugar.  The interpreter runs the sugar
-as it comes; :func:`desugar` is the reference lowering onto the core forms.
-Trees are immutable; source positions ride along for error reporting but
-never take part in equality.
+loop, ranked choice, observation) plus the sugar nodes ``any_of`` and
+``observeJ``/``observeL``.  The parser builds ``if b then { s }`` and
+``x := e1 or(e) e2`` as the core statements they abbreviate.  The interpreter
+runs the sugar as it comes; :func:`desugar` is the reference lowering onto
+the core forms.  Trees are immutable; source positions ride along for error
+reporting but never take part in equality.
 """
 
 from __future__ import annotations
@@ -49,10 +51,6 @@ class RankOf(NumExpr):
     pos: Pos = field(default=None, compare=False)
 
 
-#: numeric operators: the four arithmetic ones plus the bit extension set
-NUM_OPS = ("+", "-", "*", "/", "%", "xor", "band", "bor")
-
-
 @dataclass(frozen=True)
 class BinOp(NumExpr):
     op: str
@@ -79,10 +77,6 @@ class And(BoolExpr):
     left: BoolExpr
     right: BoolExpr
     pos: Pos = field(default=None, compare=False)
-
-
-#: comparison operators; only == and < survive desugaring
-CMP_OPS = ("==", "<", "<=")
 
 
 @dataclass(frozen=True)
@@ -153,25 +147,6 @@ class Observe(Stmt):
 
 
 @dataclass(frozen=True)
-class IfThen(Stmt):
-    cond: BoolExpr
-    then_branch: Stmt
-    pos: Pos = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class ChoiceAssign(Stmt):
-    """``x := e1 or(e) e2``: assign the first normally, the second at rank e."""
-
-    name: str
-    indices: tuple
-    first: NumExpr
-    rank: NumExpr
-    second: NumExpr
-    pos: Pos = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
 class UniformPick(Stmt):
     """``x := any_of(lo .. hi)``: a rank-0 draw from an integer interval."""
 
@@ -209,22 +184,20 @@ class ObserveL(Stmt):
 CORE_STMTS = (Skip, Seq, Assign, IfThenElse, While, RankedChoice, Observe)
 
 
+def statements(s: Stmt):
+    """Yield the statements that any nesting of ``Seq`` in ``s`` runs, in
+    order, without recursion; a statement that is no ``Seq`` yields itself."""
+    pending = [s]
+    while pending:
+        s = pending.pop()
+        if isinstance(s, Seq):
+            pending.append(s.second)
+            pending.append(s.first)
+        else:
+            yield s
+
+
 # -- expansions ---------------------------------------------------------------
-
-
-def expand_if_then(s: IfThen) -> Stmt:
-    """``if b then { s }`` is ``if b then { s } else { skip }``."""
-    return IfThenElse(s.cond, s.then_branch, Skip(pos=s.pos), pos=s.pos)
-
-
-def expand_choice_assign(s: ChoiceAssign) -> Stmt:
-    """``x := e1 or(e) e2`` is a ranked choice between two assignments."""
-    return RankedChoice(
-        Assign(s.name, s.indices, s.first, pos=s.pos),
-        s.rank,
-        Assign(s.name, s.indices, s.second, pos=s.pos),
-        pos=s.pos,
-    )
 
 
 def expand_observe_j(strength: NumExpr, cond: BoolExpr, pos: Pos = None) -> Stmt:
@@ -309,18 +282,18 @@ def desugar(s: Stmt) -> Stmt:
     This is the reference lowering: the interpreter runs sugar directly, and
     the lowered tree has the same meaning except that observeJ/observeL lose
     their check that the condition and its negation both have finite rank.
+    Sequences come out in the parser's right-nested shape (composition is
+    associative, so this is meaning-preserving), however they were nested.
     """
+    if isinstance(s, Seq):
+        lowered = [desugar(stmt) for stmt in statements(s)]
+        result = lowered.pop()
+        while lowered:
+            first = lowered.pop()
+            result = Seq(first, result, pos=first.pos)
+        return result
     if isinstance(s, Skip):
         return s
-    if isinstance(s, Seq):
-        first = desugar(s.first)
-        second = desugar(s.second)
-        # canonicalize to the parser's right-nested shape (composition is
-        # associative, so this is meaning-preserving)
-        while isinstance(first, Seq):
-            second = Seq(first.second, second, pos=second.pos)
-            first = first.first
-        return Seq(first, second, pos=s.pos)
     if isinstance(s, Assign):
         return Assign(
             s.name,
@@ -350,20 +323,18 @@ def desugar(s: Stmt) -> Stmt:
         )
     if isinstance(s, Observe):
         return Observe(desugar_bool(s.cond), pos=s.pos)
-    if isinstance(s, IfThen):
-        return desugar(expand_if_then(s))
-    if isinstance(s, ChoiceAssign):
-        return desugar(expand_choice_assign(s))
     if isinstance(s, UniformPick):
-        picks = Assign(s.name, s.indices, IntLit(s.upper, pos=s.pos), pos=s.pos)
+        # a right-nested chain of rank-0 choices, built from core nodes
+        indices = tuple(desugar_num(i) for i in s.indices)
+        picks = Assign(s.name, indices, IntLit(s.upper, pos=s.pos), pos=s.pos)
         for n in range(s.upper - 1, s.lower - 1, -1):
             picks = RankedChoice(
-                Assign(s.name, s.indices, IntLit(n, pos=s.pos), pos=s.pos),
+                Assign(s.name, indices, IntLit(n, pos=s.pos), pos=s.pos),
                 IntLit(0, pos=s.pos),
                 picks,
                 pos=s.pos,
             )
-        return desugar(picks)
+        return picks
     if isinstance(s, ObserveJ):
         return desugar(expand_observe_j(s.strength, s.cond, pos=s.pos))
     if isinstance(s, ObserveL):
@@ -409,16 +380,21 @@ def _lvalue(name: str, indices: tuple) -> str:
 
 
 def pretty_print(s: Stmt) -> str:
-    """Emit concrete syntax; parsing it back reproduces the (desugared) tree.
+    """Emit concrete syntax; parsing it back reproduces the tree, up to the
+    nesting of sequences, which the parser builds right-nested.
 
-    The one exception is negative integer literals, which the concrete
-    syntax cannot express: they print as ``(0 - n)``, which parses to the
+    Only the sugar nodes ``any_of`` and ``observeJ``/``observeL`` print as
+    sugar; ``if … then`` and ``x := e1 or(e) e2`` are core trees by then and
+    print in their core form.  Negative integer literals, which the concrete
+    syntax cannot express, print as ``(0 - n)``, which parses to the
     equivalent subtraction.
     """
+    return "; ".join(_pp_stmt(stmt) for stmt in statements(s))
+
+
+def _pp_stmt(s: Stmt) -> str:
     if isinstance(s, Skip):
         return "skip"
-    if isinstance(s, Seq):
-        return f"{pretty_print(s.first)}; {pretty_print(s.second)}"
     if isinstance(s, Assign):
         return f"{_lvalue(s.name, s.indices)} := {_pp_num(s.value)}"
     if isinstance(s, IfThenElse):
@@ -435,13 +411,6 @@ def pretty_print(s: Stmt) -> str:
         )
     if isinstance(s, Observe):
         return f"observe {_pp_bool(s.cond)}"
-    if isinstance(s, IfThen):
-        return f"if {_pp_bool(s.cond)} then {{ {pretty_print(s.then_branch)} }}"
-    if isinstance(s, ChoiceAssign):
-        return (
-            f"{_lvalue(s.name, s.indices)} := {_pp_num(s.first)}"
-            f" or({_pp_num(s.rank)}) {_pp_num(s.second)}"
-        )
     if isinstance(s, UniformPick):
         return f"{_lvalue(s.name, s.indices)} := any_of({s.lower} .. {s.upper})"
     if isinstance(s, ObserveJ):

@@ -7,7 +7,7 @@ import rankpl.evaluator
 import rankpl.syntax
 from conftest import run_cli
 from oracle import oracle_ranking
-from proggen import random_program, random_sugar_program
+from proggen import random_loop_program, random_program, random_sugar_program
 from rankpl.engine import (
     ERROR_KINDS,
     Outcome,
@@ -30,7 +30,7 @@ from rankpl.ranking import (
     normalize,
     rank_of,
 )
-from rankpl.syntax import Stmt
+from rankpl.syntax import Assign, BinOp, IntLit, Seq, Stmt, Var
 
 INTRO = (
     "x := 10; either {y:=1} or (1) { either {y:=2} or (1) {y:=3} }; x := x*y;"
@@ -169,6 +169,26 @@ class TestOracleEquivalence:
                 assert got == {v: r for v, r in reference.items() if r <= cap}
                 assert stream.failed == reference.is_failure
 
+    def test_loop_programs_match_reference(self):
+        # counter-bounded loops whose bodies hold choices, observes, ifs and
+        # nested loops, array reads and writes, and rank() nested in rank()
+        # in choice offsets
+        rng = random.Random(7007)
+        for _ in range(200):
+            program = random_loop_program(rng)
+            reference = oracle_ranking(program)
+            assert run_program(program) == reference
+            assert enumerate_collect(program) == reference
+            for cap in (0, 1, 2):
+                stream = enumerate_outcomes(program, SearchOptions(max_rank=cap))
+                got = {o.valuation: o.rank for o in stream}
+                assert got == {v: r for v, r in reference.items() if r <= cap}
+                assert stream.failed == reference.is_failure
+            got = list(enumerate_outcomes(program, SearchOptions(max_outcomes=2)))
+            assert [o.rank for o in got] == sorted(o.rank for o in got)
+            assert all(reference.rank(o.valuation) == o.rank for o in got)
+            assert len(got) == min(2, len(reference))
+
     def test_outcomes_ascend_and_never_repeat(self):
         rng = random.Random(99)
         for _ in range(100):
@@ -217,6 +237,18 @@ class TestParsedTreeRunsDirectly:
             run_program(Unknown())
 
 
+class TestLeftNestedSequences:
+    def test_a_3000_deep_left_nested_sequence_runs(self):
+        # a library caller may nest sequences to the left, which the parser
+        # never does; the interpreter walks any nesting in a loop
+        program = Assign("x", (), IntLit(0))
+        for _ in range(3000):
+            program = Seq(program, Assign("x", (), BinOp("+", Var("x"), IntLit(1))))
+        expected = Ranking({Valuation({"x": 3000}): 0})
+        assert run_program(program) == expected
+        assert enumerate_collect(program, SearchOptions(max_rank=0)) == expected
+
+
 class TestBudgets:
     def test_bounded_loop_deepens_in_few_rounds(self, monkeypatch):
         # the least pruned rank is one above each budget, so budgets that grew
@@ -238,6 +270,25 @@ class TestBudgets:
         assert budgets[:4] == [0, 1, 3, 7]
 
 
+def run_counted(monkeypatch, interpreter, source):
+    """Run ``source`` through one entry point and count the comparisons."""
+    calls = [0]
+    original = rankpl.engine._compare
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(rankpl.engine, "_compare", counting)
+    program = parse_program(source)
+    if interpreter == "engine":
+        stream = enumerate_outcomes(program)
+        result = Ranking({o.valuation: o.rank for o in stream})
+    else:
+        result = run_program(program)
+    return result, calls[0]
+
+
 class TestRankOfOncePerRanking:
     """``rank(b)`` depends on the ranking, never on the state reading it, so
     the interpreter scans a ranking for it once, not once per state, through
@@ -252,27 +303,9 @@ class TestRankOfOncePerRanking:
     PRIOR = Ranking({Valuation({"x": x}): 0 for x in range(N)})
     EVENT = staticmethod(lambda v: v.get("x") > 196)
 
-    def run_counted(self, monkeypatch, interpreter, source):
-        """Run ``source`` through one entry point and count the comparisons."""
-        calls = [0]
-        original = rankpl.engine._compare
-
-        def counting(*args):
-            calls[0] += 1
-            return original(*args)
-
-        monkeypatch.setattr(rankpl.engine, "_compare", counting)
-        program = parse_program(source)
-        if interpreter == "engine":
-            stream = enumerate_outcomes(program)
-            result = Ranking({o.valuation: o.rank for o in stream})
-        else:
-            result = run_program(program)
-        return result, calls[0]
-
     @pytest.mark.parametrize("interpreter", ["evaluator", "engine"])
     def test_choice_offset(self, monkeypatch, interpreter):
-        result, calls = self.run_counted(
+        result, calls = run_counted(
             monkeypatch,
             interpreter,
             "x := any_of(0 .. 199); "
@@ -290,11 +323,62 @@ class TestRankOfOncePerRanking:
     def test_observe_l(self, monkeypatch, interpreter):
         # the expansion reads rank(b) in a guard and in a choice offset, and
         # its observations and precondition test the condition per state
-        result, calls = self.run_counted(
+        result, calls = run_counted(
             monkeypatch, interpreter, "x := any_of(0 .. 199); observeL(2, x > 196);"
         )
         assert result == l_condition(self.PRIOR, self.EVENT, 2)
         assert calls < 10 * self.N
+
+
+class TestWhileStep:
+    """A loop tests its guard once per state per iteration, and checks the
+    iteration limit at the first state that satisfies it."""
+
+    @pytest.mark.parametrize("interpreter", ["evaluator", "engine"])
+    def test_guard_is_tested_once_per_state(self, monkeypatch, interpreter):
+        # 200 states, three of which run the body five times: six guard scans
+        # of 200 + 3 comparisons each (a state with x > 196 also reads y < 5)
+        result, calls = run_counted(
+            monkeypatch,
+            interpreter,
+            "x := any_of(0 .. 199); while x > 196 && y < 5 do { y := y + 1; };",
+        )
+        assert result == Ranking(
+            {Valuation({"x": x, "y": 5 if x > 196 else 0}): 0 for x in range(200)}
+        )
+        assert calls <= 1218
+
+    SOURCE = "x := 0; while x == 0 || 1 / (x - 1) == 0 do { x := 0 or(1) 1; };"
+
+    def run_all(self, limit):
+        program = parse_program(self.SOURCE)
+        errors = []
+        for run in (
+            lambda: run_program(program, EvalConfig(limit)),
+            lambda: list(
+                enumerate_outcomes(program, SearchOptions(max_while_iterations=limit))
+            ),
+            lambda: list(
+                enumerate_outcomes(
+                    program, SearchOptions(max_rank=0, max_while_iterations=limit)
+                )
+            ),
+        ):
+            with pytest.raises(EvalError) as err:
+                run()
+            errors.append((err.value.kind, err.value.pos))
+        return errors
+
+    def test_iteration_limit_comes_before_later_guard_errors(self):
+        # the second iteration's first state, x = 0, satisfies the guard; the
+        # state x = 1 after it would divide by zero in the guard
+        assert self.run_all(1) == [("iteration-limit", (1, 9))] * 3
+        assert self.run_all(2) == [
+            ("division-by-zero", (1, 27)),
+            ("division-by-zero", (1, 27)),
+            # at budget 0 the state x = 1 is pruned, and x = 0 loops on
+            ("iteration-limit", (1, 9)),
+        ]
 
 
 #: one program per runtime error kind; each raises in its rank-0 state, at

@@ -99,10 +99,13 @@ class TestEvalNum:
     def test_infinity_table(self):
         inf = IntLit(INF)
         assert values(BinOp("+", inf, IntLit(3))) == [INF, INF]
+        assert values(BinOp("+", IntLit(3), inf)) == [INF, INF]
         assert values(BinOp("-", inf, IntLit(3))) == [INF, INF]
-        with pytest.raises(EvalError) as err:
-            values(BinOp("-", IntLit(3), inf))
-        assert err.value.kind == "undefined-infinity-arith"
+        for undefined in (BinOp("-", IntLit(3), inf), BinOp("-", inf, inf)):
+            with pytest.raises(EvalError) as err:
+                values(undefined)
+            assert err.value.kind == "undefined-infinity-arith"
+            assert err.value.detail == "subtracting inf"
         with pytest.raises(EvalError):
             values(BinOp("*", inf, IntLit(2)))
 

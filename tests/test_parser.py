@@ -10,9 +10,7 @@ from rankpl.syntax import (
     And,
     Assign,
     BinOp,
-    ChoiceAssign,
     Cmp,
-    IfThen,
     IfThenElse,
     IntLit,
     Not,
@@ -200,8 +198,8 @@ class TestParseProgram:
         assert err.value.message == "empty range in any_of(3 .. 1)"
 
     def test_choice_assignment_sugar(self):
-        assert parse_program("a1 := 0 or(1) 1;") == ChoiceAssign(
-            "a1", (), IntLit(0), IntLit(1), IntLit(1)
+        assert parse_program("a1 := 0 or(1) 1;") == RankedChoice(
+            Assign("a1", (), IntLit(0)), IntLit(1), Assign("a1", (), IntLit(1))
         )
 
     def test_else_if_chain(self):
@@ -220,8 +218,8 @@ class TestParseProgram:
         )
 
     def test_if_without_else(self):
-        assert parse_program("if x == 0 then { skip; }") == IfThen(
-            Cmp("==", Var("x"), IntLit(0)), Skip()
+        assert parse_program("if x == 0 then { skip; }") == IfThenElse(
+            Cmp("==", Var("x"), IntLit(0)), Skip(), Skip()
         )
 
     def test_boolean_precedence(self):
@@ -281,7 +279,7 @@ class TestParseProgram:
         assert parens == Assign("x", (), IntLit(1))
         ifs = parse_program("if x == 0 then { " * 200 + "skip;" + " }" * 200)
         for _ in range(200):
-            assert isinstance(ifs, IfThen)
+            assert isinstance(ifs, IfThenElse)
             ifs = ifs.then_branch
         assert ifs == Skip()
 

@@ -7,11 +7,9 @@ from rankpl.syntax import (
     And,
     Assign,
     BinOp,
-    ChoiceAssign,
     Cmp,
     CORE_STMTS,
     DesugarError,
-    IfThen,
     IfThenElse,
     IntLit,
     Not,
@@ -50,17 +48,6 @@ def core_only(s) -> bool:
 
 
 class TestDesugar:
-    def test_choice_assign(self):
-        sugar = ChoiceAssign("y", (), lit(1), lit(1), lit(2))
-        expected = RankedChoice(
-            Assign("y", (), lit(1)), lit(1), Assign("y", (), lit(2))
-        )
-        assert desugar(sugar) == expected
-
-    def test_if_without_else(self):
-        cond = Cmp("==", Var("x"), lit(1))
-        assert desugar(IfThen(cond, Skip())) == IfThenElse(cond, Skip(), Skip())
-
     def test_uniform_pick_expands_right_nested(self):
         sugar = UniformPick("x", (), 0, 2)
         expected = RankedChoice(
@@ -101,9 +88,10 @@ class TestDesugar:
     def test_idempotent(self):
         program = Seq(
             UniformPick("x", (), 0, 2),
-            IfThen(
+            IfThenElse(
                 And(Cmp("==", Var("x"), lit(1)), Cmp("<=", Var("x"), lit(2))),
                 ObserveJ(lit(1), Cmp("<", Var("x"), lit(5))),
+                Skip(),
             ),
         )
         once = desugar(program)
@@ -163,6 +151,48 @@ class TestPrettyPrint:
             ),
         )
         assert parse_program(pretty_print(stmt)) == stmt
+
+
+class TestLongPrograms:
+    """``desugar`` and ``pretty_print`` walk sequences and ``any_of`` chains
+    in loops, so their depth never meets the recursion limit.  Trees this
+    deep are checked by walking them, because ``==`` on them recurses."""
+
+    LINES = ["x := x + 1", "observe x <= 5000"] * 1500
+
+    def test_desugar_of_a_3000_statement_program(self):
+        node = desugar(parse_program(";\n".join(self.LINES) + ";"))
+        kinds = []
+        while isinstance(node, Seq):
+            kinds.append(type(node.first))
+            node = node.second
+        kinds.append(type(node))
+        assert kinds == [Assign, Observe] * 1500
+        # x <= 5000 lowers to !(5000 < x)
+        assert node == Observe(Not(Cmp("<", lit(5000), Var("x"))))
+
+    def test_pretty_print_of_a_3000_statement_program(self):
+        program = parse_program(";\n".join(self.LINES) + ";")
+        assert pretty_print(program) == "; ".join(
+            "x := (x + 1)" if line.startswith("x") else line for line in self.LINES
+        )
+
+    def test_pretty_print_of_a_left_nested_sequence(self):
+        program = Skip()
+        for n in range(3000):
+            program = Seq(program, Assign("x", (), lit(n)))
+        assert pretty_print(program) == "; ".join(
+            ["skip"] + [f"x := {n}" for n in range(3000)]
+        )
+
+    def test_desugar_of_a_wide_any_of(self):
+        node = desugar(parse_program("x := any_of(0 .. 2000);"))
+        for n in range(2000):
+            assert isinstance(node, RankedChoice)
+            assert node.first == Assign("x", (), lit(n))
+            assert node.rank == lit(0)
+            node = node.second
+        assert node == Assign("x", (), lit(2000))
 
 
 # -- randomized round-trip ----------------------------------------------------
