@@ -231,6 +231,7 @@ def cmd_run(args, out, err) -> int:
 
         def flush():
             nonlocal emitted
+            # a rank's outcomes arrive sorted; a projection can reorder them
             for valuation in sorted(pending):
                 if args.top is not None and emitted >= args.top:
                     return False

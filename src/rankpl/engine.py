@@ -35,6 +35,11 @@ the surviving entries (the minimum surviving accumulated rank at that merge);
 an untouched run keeps the bound infinite, which proves the whole result.
 Rounds whose visible states cannot decide an observation or rank expression
 are abandoned and retried with a larger budget.
+
+A ranking is an unordered map, and so are a round's entries.  Outcomes are
+ordered only where they leave the interpreter: ``_stream`` sorts them by
+``(rank, valuation)``, ``Ranking`` by valuation, and the CLI each rank's
+projected lines.
 """
 
 from __future__ import annotations
@@ -152,7 +157,8 @@ class _Partial:
 
     The true (raw, unnormalized) ranking this stands for agrees with
     ``entries`` on everything at rank <= ``bound`` and has nothing else
-    there; whatever got pruned lives strictly above the bound.
+    there; whatever got pruned lives strictly above the bound.  ``entries``
+    is unordered (see the module docstring for where outcomes are ordered).
     """
 
     __slots__ = ("entries", "bound", "ranks")
@@ -162,10 +168,6 @@ class _Partial:
         self.bound = bound
         # rank(b) values read against this ranking, keyed on the RankOf node
         self.ranks = {}
-
-    @property
-    def proven_failure(self) -> bool:
-        return not self.entries and self.bound is INF
 
 
 class _Round:
@@ -308,6 +310,17 @@ def _holds(sigma: Valuation, partial: _Partial, b: BoolExpr) -> bool:
 # -- budget-limited denotation -------------------------------------------------
 
 
+def _normalized(entries: dict, bound) -> _Partial:
+    """Shift ``entries`` and ``bound`` down to rank 0.  With no entry, an
+    infinite bound proves failure; states may hide above a finite one."""
+    if not entries:
+        if bound is INF:
+            return _Partial({}, INF)
+        raise _InsufficientBudget
+    low = min(entries.values())
+    return _Partial({sigma: rank - low for sigma, rank in entries.items()}, bound - low)
+
+
 def _merge(contributions, prior_bound, ctx: _Round) -> _Partial:
     """Combine branch contributions: pointwise minimum, then enforce the
     budget, then renormalize both the entries and the bound."""
@@ -330,14 +343,7 @@ def _merge(contributions, prior_bound, ctx: _Round) -> _Partial:
         # entries above the bound may yet be undercut by pruned alternatives
         for state in [s for s, r in merged.items() if r > bound]:
             del merged[state]
-    if not merged:
-        if bound is INF:
-            return _Partial({}, INF)
-        raise _InsufficientBudget
-    low = min(merged.values())
-    return _Partial(
-        dict(sorted((s, r - low) for s, r in merged.items())), bound - low
-    )
+    return _normalized(merged, bound)
 
 
 def _checked(rank: int, pos) -> int:
@@ -412,7 +418,7 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
             p = _denote(stmt, p, ctx)
         return p
 
-    if p.proven_failure:
+    if not p.entries and p.bound is INF:
         # failure in, failure out: expressions are never evaluated
         return p
 
@@ -439,7 +445,7 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
                 current = entries.get(image)
                 if current is None or rank < current:
                     entries[image] = rank
-        return _Partial(dict(sorted(entries.items())), p.bound)
+        return _Partial(entries, p.bound)
 
     if isinstance(s, Observe):
         kept = {
@@ -447,14 +453,7 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
             for sigma, rank in p.entries.items()
             if _holds(sigma, p, s.cond)
         }
-        if not kept:
-            if p.bound is INF:
-                return _Partial({}, INF)
-            raise _InsufficientBudget  # satisfying states may hide above the bound
-        shift = min(kept.values())
-        return _Partial(
-            {sigma: rank - shift for sigma, rank in kept.items()}, p.bound - shift
-        )
+        return _normalized(kept, p.bound)
 
     if isinstance(s, IfThenElse):
         return _branch(s, s.then_branch, s.else_branch, p, ctx)
@@ -547,7 +546,7 @@ def _stream(program: Stmt, opts: SearchOptions, state: dict):
             if count == 0:
                 # a complete empty slice means no rank-0 state exists at all,
                 # which only the failure ranking allows
-                if result.proven_failure or not result.entries:
+                if not result.entries:
                     state["failed"] = True
                     return
                 raise BudgetExhaustedError(
@@ -582,8 +581,5 @@ def enumerate_collect(s: Stmt, opts: SearchOptions | None = None) -> Ranking:
     equals ``run_program``'s result exactly."""
     stream = enumerate_outcomes(s, opts)
     entries = {outcome.valuation: outcome.rank for outcome in stream}
-    if stream.failed:
-        return FAILURE
-    if not entries:
-        return FAILURE
-    return Ranking(entries)
+    # a failed stream yields nothing, and an empty one that ends has failed
+    return Ranking(entries) if entries else FAILURE

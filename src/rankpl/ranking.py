@@ -153,8 +153,8 @@ class Valuation:
     def assign(self, name: str, indices: tuple, value: int) -> "Valuation":
         """Return a copy with one binding changed."""
         key = (name, indices)
-        keys = [item[0] for item in self._items]
-        i = bisect_left(keys, key)
+        # (key,) sorts before every (key, value) and after every smaller key
+        i = bisect_left(self._items, (key,))
         bound = i < len(self._items) and self._items[i][0] == key
         if value == 0:
             if not bound:

@@ -5,7 +5,8 @@ walking every choice alternative recursively.  Choice penalties add to a
 path's weight, observation filters and re-levels the surviving weights, and
 branch merges re-level at the end of their scope.  A loop unrolls into one
 conditional step at a time until no state satisfies its guard.  Failure is
-None.
+None.  A sequence of any length runs in a loop, and ``rank(b)`` is read once
+per state set and condition.
 """
 
 from rankpl.ranking import FAILURE, INF, Valuation, normalize
@@ -31,18 +32,26 @@ from rankpl.syntax import (
 MAX_UNROLL = 10000
 
 
-def o_num(sigma, states, e):
+def _rank(states, cond, ranks):
+    """rank(cond) over ``states``, read once: ``ranks`` memoises it for this
+    state set, so a rank nested in a rank costs one scan per condition."""
+    if cond not in ranks:
+        weights = [w for s, w in states.items() if o_holds(s, states, cond, ranks)]
+        ranks[cond] = min(weights) if weights else INF
+    return ranks[cond]
+
+
+def o_num(sigma, states, e, ranks):
     if isinstance(e, IntLit):
         return e.value
     if isinstance(e, Var):
-        idx = tuple(o_num(sigma, states, i) for i in e.indices)
+        idx = tuple(o_num(sigma, states, i, ranks) for i in e.indices)
         return sigma.get(e.name, idx)
     if isinstance(e, RankOf):
-        weights = [w for s, w in states.items() if o_holds(s, states, e.cond)]
-        return min(weights) if weights else INF
+        return _rank(states, e.cond, ranks)
     if isinstance(e, BinOp):
-        a = o_num(sigma, states, e.left)
-        b = o_num(sigma, states, e.right)
+        a = o_num(sigma, states, e.left, ranks)
+        b = o_num(sigma, states, e.right, ranks)
         if e.op == "+":
             return INF if (a is INF or b is INF) else a + b
         if e.op == "-":
@@ -63,22 +72,26 @@ def o_num(sigma, states, e):
     raise AssertionError(f"oracle: unsupported expression {e!r}")
 
 
-def o_holds(sigma, states, b):
+def o_holds(sigma, states, b, ranks):
     if isinstance(b, Not):
-        return not o_holds(sigma, states, b.operand)
+        return not o_holds(sigma, states, b.operand, ranks)
     if isinstance(b, Or):
-        return o_holds(sigma, states, b.left) or o_holds(sigma, states, b.right)
+        return o_holds(sigma, states, b.left, ranks) or o_holds(
+            sigma, states, b.right, ranks
+        )
     if isinstance(b, And):
-        return o_holds(sigma, states, b.left) and o_holds(sigma, states, b.right)
+        return o_holds(sigma, states, b.left, ranks) and o_holds(
+            sigma, states, b.right, ranks
+        )
     if isinstance(b, Cmp):
-        a = o_num(sigma, states, b.left)
-        c = o_num(sigma, states, b.right)
+        a = o_num(sigma, states, b.left, ranks)
+        c = o_num(sigma, states, b.right, ranks)
         if b.op == "==":
             return a is c if (a is INF or c is INF) else a == c
         if b.op == "<":
             return (a is not INF) if c is INF else (a is not INF and a < c)
         if b.op == "<=":
-            return not o_holds(sigma, states, Cmp("<", b.right, b.left))
+            return not o_holds(sigma, states, Cmp("<", b.right, b.left), ranks)
     raise AssertionError(f"oracle: unsupported condition {b!r}")
 
 
@@ -93,22 +106,37 @@ def walk(stmt, states):
     if isinstance(stmt, Skip):
         return states
     if isinstance(stmt, Seq):
-        return walk(stmt.second, walk(stmt.first, states))
+        # any nesting runs in a loop; each statement still goes through the
+        # module-level walk, which callers may wrap
+        pending = [stmt]
+        while pending:
+            node = pending.pop()
+            if isinstance(node, Seq):
+                pending += (node.second, node.first)
+            else:
+                states = walk(node, states)
+        return states
+    # the rank(b) values read against this visit's states
+    ranks = {}
     if isinstance(stmt, Assign):
         out = {}
         for sigma, weight in states.items():
-            idx = tuple(o_num(sigma, states, i) for i in stmt.indices)
-            value = o_num(sigma, states, stmt.value)
+            idx = tuple(o_num(sigma, states, i, ranks) for i in stmt.indices)
+            value = o_num(sigma, states, stmt.value, ranks)
             assert value is not INF, "oracle: storing inf"
             image = sigma.assign(stmt.name, idx, value)
             if image not in out or weight < out[image]:
                 out[image] = weight
         return out
     if isinstance(stmt, Observe):
-        kept = {s: w for s, w in states.items() if o_holds(s, states, stmt.cond)}
+        kept = {
+            s: w for s, w in states.items() if o_holds(s, states, stmt.cond, ranks)
+        }
         return _relevel(kept) if kept else None
     if isinstance(stmt, IfThenElse):
-        yes = {s: w for s, w in states.items() if o_holds(s, states, stmt.cond)}
+        yes = {
+            s: w for s, w in states.items() if o_holds(s, states, stmt.cond, ranks)
+        }
         no = {s: w for s, w in states.items() if s not in yes}
         merged = {}
         for side, branch in ((yes, stmt.then_branch), (no, stmt.else_branch)):
@@ -128,7 +156,7 @@ def walk(stmt, states):
         merged = dict(merged) if merged is not None else {}
         groups = {}
         for sigma, weight in states.items():
-            penalty = o_num(sigma, states, stmt.rank)
+            penalty = o_num(sigma, states, stmt.rank, ranks)
             if penalty is INF:
                 continue
             assert penalty >= 0, "oracle: negative choice rank"
@@ -146,7 +174,10 @@ def walk(stmt, states):
     if isinstance(stmt, While):
         step = IfThenElse(stmt.cond, stmt.body, Skip())
         steps = 0
-        while states is not None and any(o_holds(s, states, stmt.cond) for s in states):
+        while states is not None:
+            ranks = {}
+            if not any(o_holds(s, states, stmt.cond, ranks) for s in states):
+                break
             steps += 1
             assert steps <= MAX_UNROLL, f"oracle: loop ran past {MAX_UNROLL} steps"
             states = walk(step, states)

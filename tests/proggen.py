@@ -226,21 +226,19 @@ def _loop_cond(rng, counters):
 
 
 def _loop_offset(rng, counters):
-    """A choice offset; outside loops, sometimes with rank() nested in rank().
+    """A choice offset, sometimes with rank() nested in rank().
 
     A rank may be inf; it is only ever added to or compared with, which the
-    oracle's infinity arithmetic defines.  The oracle reads a rank by
-    scanning every state once per state, so a nested rank costs it the cube
-    of the state count, which loops multiply.
+    oracle's infinity arithmetic defines.
     """
     pick = rng.random()
     if pick < 0.4:
         return IntLit(rng.randrange(0, 4))
     if pick < 0.6:
         return Var(rng.choice(PENALTY_VARS))
-    if counters:
+    if pick < 0.7:
         return RankOf(_loop_cond(rng, counters))
-    if pick < 0.8:
+    if pick < 0.85:
         inner = BinOp("+", RankOf(_cond(rng)), IntLit(rng.randrange(0, 2)))
         return RankOf(Cmp("<", Var(rng.choice(VARS)), inner))
     nested = RankOf(Cmp("<", RankOf(_cond(rng)), IntLit(1)))
@@ -267,13 +265,15 @@ def _loop_statement(rng, depth, counters):
             return Assign(ARRAY, (_index(rng, counters),), _loop_num(rng, counters))
         if leaf < 0.45:
             return Assign(rng.choice(PENALTY_VARS), (), IntLit(rng.randrange(0, 4)))
-        if leaf < 0.6 and not counters:
+        if leaf < 0.6:
             lower = rng.randrange(-1, 3)
             cell = (ARRAY, (_index(rng, counters),))
             name, indices = rng.choice([cell, (rng.choice(VARS), ())])
             return UniformPick(name, indices, lower, lower + rng.randrange(0, 3))
         return Assign(rng.choice(VARS), (), _loop_num(rng, counters))
     if pick < 0.4:
+        if counters and rng.random() < 0.4:
+            return _observe_graded(rng)
         return Observe(_loop_cond(rng, counters))
     if pick < 0.7:
         first = _loop_block(rng, depth - 1, counters)
@@ -297,17 +297,17 @@ def random_loop_program(rng, depth=3):
     """A program with at least one counter-bounded loop, array reads and
     writes with indices in 0..3, and nested ``rank()`` in choice offsets.
 
-    Loop bodies hold choices, observes, ifs and, one level deep, another
-    loop.  A loop body ends with its counter's increment after a nested
-    block, so the tree holds left-nested sequences the parser never builds.
-    Offsets are non-negative or inf, so runs never abort; an observe may
-    still rule out every path.
+    Loop bodies hold choices, observes, ``any_of`` draws, ifs and, one level
+    deep, another loop, and observeJ/observeL right after a draw of their
+    variable (see ``_observe_graded``).  A loop body ends with its counter's
+    increment after a nested block, so the tree holds left-nested sequences
+    the parser never builds.  Offsets are non-negative or inf and graded
+    observations have both sides possible, so runs never abort; an observe
+    may still rule out every path.
     """
     prelude = Seq(
         Assign("a", (), IntLit(rng.randrange(0, 3))),
         Assign("p", (), IntLit(rng.randrange(0, 3))),
     )
-    # the draws and nested ranks of the block come before the loop, where
-    # states are still few (see _loop_offset)
     body = Seq(_loop_block(rng, depth - 1, ()), _loop(rng, depth - 1, ()))
     return Seq(prelude, body)

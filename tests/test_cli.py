@@ -219,6 +219,28 @@ class TestRun:
         assert (code, out) == (4, "")
         assert err.startswith("input error: ")
 
+    def test_projection_sorts_the_lines_of_each_rank(self, tmp_path):
+        # outcomes arrive in valuation order, a = 1 first; projected on x,
+        # the four rank-0 states collapse to two lines that must be re-sorted
+        path = tmp_path / "collapse.rpl"
+        path.write_text(
+            "a := any_of(0 .. 1); b := any_of(0 .. 1);\n"
+            "if a == 1 then { x := 2; } else { x := 1; };\n"
+            "either { skip; } or (1) { x := 0; };\n"
+        )
+        code, out, err = run_cli(["run", str(path)])
+        assert code == 0 and err == ""
+        assert out.splitlines()[:4] == [
+            "rank 0: a=1, b=1, x=2",
+            "rank 0: a=1, x=2",
+            "rank 0: b=1, x=1",
+            "rank 0: x=1",
+        ]
+        for options in ([], ["--max-rank", "1"]):
+            code, out, err = run_cli(["run", str(path), *options, "--project", "x"])
+            assert code == 0 and err == ""
+            assert out == "rank 0: x=1\nrank 0: x=2\nrank 1: x=0\n"
+
     def test_empty_projection_of_skip(self, tmp_path):
         path = tmp_path / "skip.rpl"
         path.write_text("skip;\n")

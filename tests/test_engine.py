@@ -170,9 +170,10 @@ class TestOracleEquivalence:
                 assert stream.failed == reference.is_failure
 
     def test_loop_programs_match_reference(self):
-        # counter-bounded loops whose bodies hold choices, observes, ifs and
-        # nested loops, array reads and writes, and rank() nested in rank()
-        # in choice offsets
+        # counter-bounded loops whose bodies hold choices, observes, any_of
+        # draws, observeJ/observeL after a draw, ifs and nested loops, array
+        # reads and writes, and rank() nested in rank() in choice offsets,
+        # inside loops and out
         rng = random.Random(7007)
         for _ in range(200):
             program = random_loop_program(rng)
@@ -190,17 +191,24 @@ class TestOracleEquivalence:
             assert len(got) == min(2, len(reference))
 
     def test_outcomes_ascend_and_never_repeat(self):
+        # the stream is where the engine orders outcomes: by rank, then by
+        # valuation, across deepening rounds too
         rng = random.Random(99)
         for _ in range(100):
             program = random_program(rng)
-            for opts in (SearchOptions(), SearchOptions(max_outcomes=10**9)):
+            for opts in (
+                SearchOptions(),
+                SearchOptions(max_rank=1),
+                SearchOptions(max_outcomes=10**9),
+            ):
                 seen = set()
-                last = -1
+                last = None
                 for outcome in enumerate_outcomes(program, opts):
-                    assert outcome.rank >= last
+                    key = (outcome.rank, outcome.valuation)
+                    assert last is None or last < key
                     assert outcome.valuation not in seen
                     seen.add(outcome.valuation)
-                    last = outcome.rank
+                    last = key
 
 
 class TestParsedTreeRunsDirectly:
@@ -247,6 +255,16 @@ class TestLeftNestedSequences:
         expected = Ranking({Valuation({"x": 3000}): 0})
         assert run_program(program) == expected
         assert enumerate_collect(program, SearchOptions(max_rank=0)) == expected
+
+    def test_the_oracle_runs_a_3000_statement_program(self):
+        # the parser nests to the right and a library caller may nest to the
+        # left; the oracle walks either in a loop
+        parsed = parse_program("x := 0;\n" + "x := x + 1;\n" * 2999)
+        assert oracle_ranking(parsed) == Ranking({Valuation({"x": 2999}): 0})
+        left = Assign("x", (), IntLit(0))
+        for _ in range(2999):
+            left = Seq(left, Assign("x", (), BinOp("+", Var("x"), IntLit(1))))
+        assert oracle_ranking(left) == Ranking({Valuation({"x": 2999}): 0})
 
 
 class TestBudgets:

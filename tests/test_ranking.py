@@ -288,6 +288,39 @@ def two_sided(draw):
     return k, members
 
 
+binding_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "x"]),
+        st.sampled_from([(), (0,), (1,), (0, 1)]),
+        st.integers(min_value=-2, max_value=2),
+    ),
+    max_size=30,
+)
+
+
+@given(binding_ops)
+def test_assign_matches_a_valuation_built_from_scratch(ops):
+    # small key and value pools make inserts, overwrites, deletes by zero and
+    # no-op assignments all common
+    state, model = Valuation(), {}
+    results, expected = [state], [Valuation()]
+    for name, indices, value in ops:
+        state = state.assign(name, indices, value)
+        if value:
+            model[(name, indices)] = value
+        else:
+            model.pop((name, indices), None)
+        assert state.items == tuple(sorted(model.items()))
+        results.append(state)
+        expected.append(Valuation(model))
+    for got, want in zip(results, expected):
+        assert got == want
+        assert hash(got) == hash(want)
+        assert got.items == want.items
+        for other_got, other_want in zip(results, expected):
+            assert (got < other_got) == (want < other_want)
+
+
 @given(rankings())
 def test_normalize_always_yields_min_zero(k):
     if not k.is_failure:
