@@ -64,36 +64,45 @@ def _tokenize_value(text: str) -> list[str]:
     return tokens
 
 
-def _parse_value(tokens: list[str], enums: dict) -> "int | list":
-    if not tokens:
-        raise InputError("empty value")
-    head = tokens.pop(0)
-    if head == "[":
-        items = []
-        while True:
-            if not tokens:
-                raise InputError("unterminated '['")
-            if tokens[0] == "]":
-                tokens.pop(0)
-                return items
-            items.append(_parse_value(tokens, enums))
-            if tokens and tokens[0] == ",":
-                tokens.pop(0)
-    if head in ("]", ","):
-        raise InputError(f"unexpected {head!r}")
-    if re.fullmatch(r"-?[0-9]+", head):
-        return int(head)
-    if head in enums:
-        return enums[head]
-    raise InputError(f"unknown token {head!r} (missing --enum mapping?)")
+def _scalar(token: str, enums: dict) -> int:
+    if token in ("]", ","):
+        raise InputError(f"unexpected {token!r}")
+    if re.fullmatch(r"-?[0-9]+", token):
+        return int(token)
+    if token in enums:
+        return enums[token]
+    raise InputError(f"unknown token {token!r} (missing --enum mapping?)")
 
 
 def parse_define_value(text: str, enums: dict) -> "int | list":
+    """An integer, an enum token, or an array ``[v, ...]`` of values whose
+    items are separated by commas (a trailing one is allowed).  The arrays
+    being read are kept on a stack, so values nest to any depth."""
     tokens = _tokenize_value(text)
-    value = _parse_value(tokens, enums)
-    if tokens:
-        raise InputError(f"trailing data in value: {' '.join(tokens)}")
-    return value
+    top = []  # receives the value itself
+    arrays = [top]  # the arrays being read, innermost last
+    ended = False  # an item just ended, so ',' or ']' comes next
+    for i, token in enumerate(tokens):
+        if top:
+            raise InputError(f"trailing data in value: {' '.join(tokens[i:])}")
+        if token == "]" and len(arrays) > 1:
+            item = arrays.pop()
+            arrays[-1].append(item)
+            ended = True
+        elif ended:
+            if token != ",":
+                raise InputError(f"expected ',' or ']' after an item, found {token!r}")
+            ended = False
+        elif token == "[":
+            arrays.append([])
+        else:
+            arrays[-1].append(_scalar(token, enums))
+            ended = True
+    if len(arrays) > 1:
+        raise InputError("unterminated '['")
+    if not top:
+        raise InputError("empty value")
+    return top[0]
 
 
 def _strip_comments(text: str) -> str:
@@ -123,18 +132,20 @@ def parse_input_file(text: str, enums: dict) -> dict:
 
 
 def binding_prelude(defines: dict):
-    """Turn defines into assignment statements executed before the program."""
+    """Turn defines into assignment statements executed before the program:
+    one per integer of each value, in order, at any depth of arrays."""
     statements = []
-
-    def bind(name, indices, value):
-        if isinstance(value, list):
-            for i, item in enumerate(value):
-                bind(name, indices + (IntLit(i),), item)
-        else:
-            statements.append(Assign(name, indices, IntLit(value)))
-
     for name, value in defines.items():
-        bind(name, (), value)
+        pending = [((), value)]  # (indices, value) still to bind, next one last
+        while pending:
+            indices, value = pending.pop()
+            if isinstance(value, list):
+                pending.extend(
+                    (indices + (IntLit(i),), value[i])
+                    for i in range(len(value) - 1, -1, -1)
+                )
+            else:
+                statements.append(Assign(name, indices, IntLit(value)))
     prelude = Skip()
     for stmt in reversed(statements):
         prelude = Seq(stmt, prelude)

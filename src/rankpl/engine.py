@@ -82,6 +82,7 @@ ERROR_KINDS = (
     "non-boolean-bit-op",
     "iteration-limit",
     "j-or-l-precondition",
+    "nested-too-deeply",
 )
 
 
@@ -422,90 +423,96 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
         # failure in, failure out: expressions are never evaluated
         return p
 
-    if isinstance(s, Skip):
-        return p
+    try:
+        if isinstance(s, Skip):
+            return p
 
-    if isinstance(s, (Assign, UniformPick)):
-        # any_of assigns every value of its range at the state's own rank
-        entries: dict[Valuation, int] = {}
-        for sigma, rank in p.entries.items():
-            indices = _indices(sigma, p, s.indices, s.pos)
-            if isinstance(s, UniformPick):
-                values = range(s.lower, s.upper + 1)
-            else:
-                values = (_eval_num(sigma, p, s.value),)
-                if values[0] is INF:
+        if isinstance(s, (Assign, UniformPick)):
+            # any_of assigns every value of its range at the state's own rank
+            entries: dict[Valuation, int] = {}
+            for sigma, rank in p.entries.items():
+                indices = _indices(sigma, p, s.indices, s.pos)
+                if isinstance(s, UniformPick):
+                    values = range(s.lower, s.upper + 1)
+                else:
+                    values = (_eval_num(sigma, p, s.value),)
+                    if values[0] is INF:
+                        raise EvalError(
+                            "undefined-infinity-arith",
+                            s.pos,
+                            "cannot store inf in a variable",
+                        )
+                for value in values:
+                    image = sigma.assign(s.name, indices, value)
+                    current = entries.get(image)
+                    if current is None or rank < current:
+                        entries[image] = rank
+            return _Partial(entries, p.bound)
+
+        if isinstance(s, Observe):
+            kept = {
+                sigma: rank
+                for sigma, rank in p.entries.items()
+                if _holds(sigma, p, s.cond)
+            }
+            return _normalized(kept, p.bound)
+
+        if isinstance(s, IfThenElse):
+            return _branch(s, s.then_branch, s.else_branch, p, ctx)
+
+        if isinstance(s, RankedChoice):
+            left = _denote(s.first, p, ctx)
+            contributions = [(left.entries, left.bound)]
+            groups: dict[int, dict[Valuation, int]] = {}
+            for sigma, rank in p.entries.items():
+                offset = _eval_num(sigma, p, s.rank)
+                if offset is INF:
+                    continue
+                if offset < 0:
+                    raise EvalError("negative-choice-rank", s.pos, f"rank {offset}")
+                if offset >= RANK_LIMIT:
                     raise EvalError(
-                        "undefined-infinity-arith",
-                        s.pos,
-                        "cannot store inf in a variable",
+                        "undefined-infinity-arith", s.pos, f"rank {offset} out of range"
                     )
-            for value in values:
-                image = sigma.assign(s.name, indices, value)
-                current = entries.get(image)
-                if current is None or rank < current:
-                    entries[image] = rank
-        return _Partial(entries, p.bound)
+                groups.setdefault(offset, {})[sigma] = rank
+            for offset, part in sorted(groups.items()):
+                contributions.append(_run_slice(s.second, part, offset, p, s.pos, ctx))
+            return _merge(contributions, p.bound, ctx)
 
-    if isinstance(s, Observe):
-        kept = {
-            sigma: rank
-            for sigma, rank in p.entries.items()
-            if _holds(sigma, p, s.cond)
-        }
-        return _normalized(kept, p.bound)
+        if isinstance(s, While):
+            iteration = 0
+            while True:
+                iteration += 1
+                stepped = _branch(s, s.body, None, p, ctx, iteration)
+                if stepped is None:
+                    # nothing visible satisfies the guard; hidden states churn
+                    # strictly above the bound and never disturb what is below it
+                    return p
+                p = stepped
 
-    if isinstance(s, IfThenElse):
-        return _branch(s, s.then_branch, s.else_branch, p, ctx)
+        if isinstance(s, (ObserveJ, ObserveL)):
+            holders = 0
+            for sigma in p.entries:
+                if _holds(sigma, p, s.cond):
+                    holders += 1
+            if holders == 0 or holders == len(p.entries):
+                if p.bound is INF:
+                    raise EvalError(
+                        "j-or-l-precondition",
+                        s.pos,
+                        "condition and its negation must both have finite rank",
+                    )
+                raise _InsufficientBudget
+            if isinstance(s, ObserveJ):
+                expansion = expand_observe_j(s.strength, s.cond, pos=s.pos)
+            else:
+                expansion = expand_observe_l(s.strength, s.cond, pos=s.pos)
+            return _denote(expansion, p, ctx)
 
-    if isinstance(s, RankedChoice):
-        left = _denote(s.first, p, ctx)
-        contributions = [(left.entries, left.bound)]
-        groups: dict[int, dict[Valuation, int]] = {}
-        for sigma, rank in p.entries.items():
-            offset = _eval_num(sigma, p, s.rank)
-            if offset is INF:
-                continue
-            if offset < 0:
-                raise EvalError("negative-choice-rank", s.pos, f"rank {offset}")
-            if offset >= RANK_LIMIT:
-                raise EvalError(
-                    "undefined-infinity-arith", s.pos, f"rank {offset} out of range"
-                )
-            groups.setdefault(offset, {})[sigma] = rank
-        for offset, part in sorted(groups.items()):
-            contributions.append(_run_slice(s.second, part, offset, p, s.pos, ctx))
-        return _merge(contributions, p.bound, ctx)
-
-    if isinstance(s, While):
-        iteration = 0
-        while True:
-            iteration += 1
-            stepped = _branch(s, s.body, None, p, ctx, iteration)
-            if stepped is None:
-                # nothing visible satisfies the guard; hidden states churn
-                # strictly above the bound and never disturb what is below it
-                return p
-            p = stepped
-
-    if isinstance(s, (ObserveJ, ObserveL)):
-        holders = 0
-        for sigma in p.entries:
-            if _holds(sigma, p, s.cond):
-                holders += 1
-        if holders == 0 or holders == len(p.entries):
-            if p.bound is INF:
-                raise EvalError(
-                    "j-or-l-precondition",
-                    s.pos,
-                    "condition and its negation must both have finite rank",
-                )
-            raise _InsufficientBudget
-        if isinstance(s, ObserveJ):
-            expansion = expand_observe_j(s.strength, s.cond, pos=s.pos)
-        else:
-            expansion = expand_observe_l(s.strength, s.cond, pos=s.pos)
-        return _denote(expansion, p, ctx)
+    except RecursionError:
+        # an expression or a nesting of blocks deeper than Python's recursion
+        # limit; the innermost statement that was running names the place
+        raise EvalError("nested-too-deeply", s.pos) from None
 
     raise TypeError(f"not a statement: {s!r}")
 

@@ -4,13 +4,16 @@ The textual rendering is deliberately plain ASCII: ``:=`` assignment, ``==``
 ``<`` ``<=`` ``>`` ``>=`` ``!=`` comparisons, ``!`` ``&&`` ``||`` boolean
 operators, ``rank(b)`` rank expressions, ``either { s1 } or (e) { s2 }``
 ranked choice, ``x := e1 or(e) e2`` and ``if b then { s }`` (built as the
-core statements they abbreviate), the sugar ``x := any_of(lo .. hi)``, and
+core statements they abbreviate), the sugar ``x := any_of(lo .. hi)``
+(each bound an integer with an optional ``-``), and
 ``observeJ(x, b)`` / ``observeL(x, b)`` for the generalized observations.
 ``//`` starts a line comment.  Simple statements end with ``;`` (omittable
 before ``}`` or end of input); block statements may carry an optional ``;``.
 
-Operator precedence, tightest first: unary ``!`` on booleans; ``*`` ``/``
-``%``; ``+`` ``-``; ``xor`` ``band`` ``bor``; comparisons; ``&&``; ``||``.
+Operator precedence, tightest first: ``*`` ``/`` ``%``; ``+`` ``-``; ``xor``
+``band`` ``bor``; comparisons; ``!``; ``&&``; ``||``.  Conditions and numbers
+are read by one precedence-climbing routine; ``!`` takes one operand at
+comparison strength, so ``!x < 1`` is ``!(x < 1)``.
 """
 
 from __future__ import annotations
@@ -144,17 +147,23 @@ def tokenize(source: str) -> list[Token]:
     raise ParseError(f"unexpected character {ch!r}", line, column)
 
 
-_CMP_TOKENS = frozenset({"==", "!=", "<", "<=", ">", ">="})
-_NUM_FOLLOW = _CMP_TOKENS | {"+", "-", "*", "/", "%", "xor", "band", "bor", ".."}
-_BIT_OPS = frozenset({"xor", "band", "bor"})
-_ADD_OPS = frozenset({"+", "-"})
-_MUL_OPS = frozenset({"*", "/", "%"})
+#: how tightly each binary operator binds: 1 and 2 join conditions, 3
+#: compares numbers and 4 to 6 combine them; all group to the left, and a
+#: comparison, whose result is a condition, cannot be compared again
+_BINDING_POWER = {
+    op: power
+    for power, ops in enumerate(
+        ["||", "&&", "== != < <= > >=", "xor band bor", "+ -", "* / %"], start=1
+    )
+    for op in ops.split()
+}
 _TOP_LEVEL = ("",)  # a sequence ends at eof, whose text is empty ...
 _IN_BLOCK = ("", "}")  # ... or, inside a block, at its '}'
 
 
 class _Parser:
-    """Recursive descent over the token list.
+    """Recursive descent over the token list, with precedence climbing
+    for expressions.
 
     Token texts alone decide: a symbol or keyword text never equals an
     identifier, integer or eof text, so no check needs a token's kind
@@ -244,16 +253,16 @@ class _Parser:
 
     def observe_statement(self, tok, stop) -> Stmt:
         self.pos += 1
-        cond = self.bool_expr()
+        cond = self.condition()
         self.terminator(stop)
         return Observe(cond, pos=(tok.line, tok.column))
 
     def observe_jl_statement(self, tok, stop) -> Stmt:
         self.pos += 1
         self.expect("(")
-        strength = self.num_expr()
+        strength = self.number()
         self.expect(",")
-        cond = self.bool_expr()
+        cond = self.condition()
         self.expect(")")
         self.terminator(stop)
         node = ObserveJ if tok.text == "observeJ" else ObserveL
@@ -261,7 +270,7 @@ class _Parser:
 
     def if_statement(self, tok, stop) -> Stmt:
         self.pos += 1
-        cond = self.bool_expr()
+        cond = self.condition()
         self.expect("then")
         then_branch = self.block()
         where = (tok.line, tok.column)
@@ -277,7 +286,7 @@ class _Parser:
 
     def while_statement(self, tok, stop) -> Stmt:
         self.pos += 1
-        cond = self.bool_expr()
+        cond = self.condition()
         self.expect("do")
         body = self.block()
         self.accept(";")
@@ -288,7 +297,7 @@ class _Parser:
         first = self.block()
         self.expect("or")
         self.expect("(")
-        rank = self.num_expr()
+        rank = self.number()
         self.expect(")")
         second = self.block()
         self.accept(";")
@@ -306,7 +315,7 @@ class _Parser:
         where = (name_tok.line, name_tok.column)
         indices = []
         while self.accept("["):
-            indices.append(self.num_expr())
+            indices.append(self.number())
             self.expect("]")
         self.expect(":=")
         if self.at("any_of"):
@@ -323,12 +332,12 @@ class _Parser:
                 )
             except DesugarError as exc:
                 raise ParseError(str(exc), any_of.line, any_of.column) from None
-        value = self.num_expr()
+        value = self.number()
         if self.accept("or"):
             self.expect("(")
-            rank = self.num_expr()
+            rank = self.number()
             self.expect(")")
-            second = self.num_expr()
+            second = self.number()
             self.terminator(stop)
             name, indices = name_tok.text, tuple(indices)
             return RankedChoice(
@@ -341,97 +350,73 @@ class _Parser:
         return Assign(name_tok.text, tuple(indices), value, pos=where)
 
     def int_literal(self) -> int:
+        """An ``any_of`` bound: an integer with an optional ``-``."""
+        sign = -1 if self.accept("-") else 1
         tok = self.tokens[self.pos]
         if tok.kind != "integer":
             self.fail("expected an integer literal")
         self.pos += 1
-        return int(tok.text)
+        return sign * int(tok.text)
 
-    # boolean expressions
+    # expressions
 
-    def bool_expr(self) -> BoolExpr:
-        return self.bool_or()
+    def condition(self) -> BoolExpr:
+        return self.checked(self.expression(1), BoolExpr)
 
-    def bool_or(self) -> BoolExpr:
-        left = self.bool_and()
-        while self.texts[self.pos] == "||":
-            tok = self.advance()
-            left = Or(left, self.bool_and(), pos=(tok.line, tok.column))
-        return left
+    def number(self) -> NumExpr:
+        # a number leaves comparisons and boolean operators to its context
+        return self.checked(self.expression(4), NumExpr)
 
-    def bool_and(self) -> BoolExpr:
-        left = self.bool_unary()
-        while self.texts[self.pos] == "&&":
-            tok = self.advance()
-            left = And(left, self.bool_unary(), pos=(tok.line, tok.column))
-        return left
+    def checked(self, node, kind):
+        """Check ``node``'s kind; a wrong one fails at the current token,
+        the one right after the operand."""
+        if not isinstance(node, kind):
+            if kind is BoolExpr:
+                self.fail("expected a comparison operator")
+            self.fail("expected a number, not a condition")
+        return node
 
-    def bool_unary(self) -> BoolExpr:
-        text = self.texts[self.pos]
-        if text == "!":
-            tok = self.advance()
-            return Not(self.bool_unary(), pos=(tok.line, tok.column))
-        if text == "(":
-            # '(' is ambiguous: a parenthesized boolean or the start of a
-            # numeric comparison.  Try the boolean reading, fall back.
-            saved = self.pos
-            try:
-                self.pos += 1
-                inner = self.bool_or()
-                self.expect(")")
-                if self.texts[self.pos] not in _NUM_FOLLOW:
-                    return inner
-            except ParseError:
-                pass
-            self.pos = saved
-        return self.comparison()
-
-    def comparison(self) -> BoolExpr:
-        left = self.num_expr()
-        if self.texts[self.pos] not in _CMP_TOKENS:
-            self.fail("expected a comparison operator")
-        tok = self.advance()
-        right = self.num_expr()
-        where = (tok.line, tok.column)
-        if tok.text == "==":
-            return Cmp("==", left, right, pos=where)
-        if tok.text == "<":
-            return Cmp("<", left, right, pos=where)
-        if tok.text == "<=":
-            return Cmp("<=", left, right, pos=where)
-        if tok.text == ">":
-            return Cmp("<", right, left, pos=where)
-        if tok.text == ">=":
-            return Cmp("<=", right, left, pos=where)
-        return Not(Cmp("==", left, right, pos=where), pos=where)
-
-    # numeric expressions
-
-    def num_expr(self) -> NumExpr:
-        left = self.num_additive()
-        while self.texts[self.pos] in _BIT_OPS:
-            tok = self.advance()
-            left = BinOp(tok.text, left, self.num_additive(), pos=(tok.line, tok.column))
-        return left
-
-    def num_additive(self) -> NumExpr:
-        left = self.num_multiplicative()
-        while self.texts[self.pos] in _ADD_OPS:
-            tok = self.advance()
-            left = BinOp(
-                tok.text, left, self.num_multiplicative(), pos=(tok.line, tok.column)
-            )
-        return left
-
-    def num_multiplicative(self) -> NumExpr:
-        left = self.num_atom()
-        while self.texts[self.pos] in _MUL_OPS:
-            tok = self.advance()
-            left = BinOp(tok.text, left, self.num_atom(), pos=(tok.line, tok.column))
-        return left
-
-    def num_atom(self) -> NumExpr:
+    def expression(self, min_power: int):
+        """Precedence climbing over ``_BINDING_POWER``: read an operand, then
+        every operator that binds at least ``min_power``.  Conditions and
+        numbers share the one table; each operator checks the kind of its
+        operands, and the node built tells a condition from a number.  A
+        parenthesized expression is read right here, so each level of
+        parentheses costs one frame."""
         tok = self.tokens[self.pos]
+        text = tok.text
+        if text == "(":
+            self.pos += 1
+            left = self.expression(1)
+            self.expect(")")
+        elif text == "!":
+            # one operand at comparison strength: !x < 1 is !(x < 1)
+            self.pos += 1
+            operand = self.checked(self.expression(3), BoolExpr)
+            left = Not(operand, pos=(tok.line, tok.column))
+        else:
+            left = self.atom(tok)
+        texts = self.texts
+        while True:
+            power = _BINDING_POWER.get(texts[self.pos], 0)
+            if power < min_power:
+                return left
+            operands = NumExpr if power > 2 else BoolExpr
+            self.checked(left, operands)
+            tok = self.advance()
+            right = self.checked(self.expression(power + 1), operands)
+            where = (tok.line, tok.column)
+            op = tok.text
+            if power > 3:
+                left = BinOp(op, left, right, pos=where)
+            elif power == 3:
+                left = _comparison(op, left, right, where)
+            elif op == "&&":
+                left = And(left, right, pos=where)
+            else:
+                left = Or(left, right, pos=where)
+
+    def atom(self, tok) -> NumExpr:
         where = (tok.line, tok.column)
         kind = tok.kind
         if kind == "integer":
@@ -441,7 +426,7 @@ class _Parser:
             self.pos += 1
             indices = []
             while self.accept("["):
-                indices.append(self.num_expr())
+                indices.append(self.number())
                 self.expect("]")
             return Var(tok.text, tuple(indices), pos=where)
         text = tok.text
@@ -451,15 +436,19 @@ class _Parser:
         if text == "rank":
             self.pos += 1
             self.expect("(")
-            cond = self.bool_expr()
+            cond = self.condition()
             self.expect(")")
             return RankOf(cond, pos=where)
-        if text == "(":
-            self.pos += 1
-            inner = self.num_expr()
-            self.expect(")")
-            return inner
         self.fail(f"expected an expression, found '{text or 'end of input'}'")
+
+
+def _comparison(op: str, left: NumExpr, right: NumExpr, where) -> BoolExpr:
+    """``>``/``>=`` swap into ``<``/``<=``, and ``!=`` negates ``==``."""
+    if op in (">", ">="):
+        return Cmp(op.replace(">", "<"), right, left, pos=where)
+    if op == "!=":
+        return Not(Cmp("==", left, right, pos=where), pos=where)
+    return Cmp(op, left, right, pos=where)
 
 
 #: statement parsers by the text of a statement's first token; any other

@@ -1,6 +1,8 @@
 """Random program generators for the oracle-equivalence suites: two
-loop-free ones, and one with counter-bounded loops and arrays."""
+loop-free ones, one with counter-bounded loops and arrays, and the injection
+of one runtime error into a generated program."""
 
+from rankpl.ranking import INF
 from rankpl.syntax import (
     And,
     Assign,
@@ -311,3 +313,42 @@ def random_loop_program(rng, depth=3):
     )
     body = Seq(_loop_block(rng, depth - 1, ()), _loop(rng, depth - 1, ()))
     return Seq(prelude, body)
+
+
+# -- injected runtime errors ----------------------------------------------------
+
+
+def _rebuild(s, visit):
+    """A copy of ``s`` with ``visit`` applied to each statement that is not a
+    ``Seq``, innermost first; blocks are rebuilt around what it returns."""
+    if isinstance(s, Seq):
+        return Seq(_rebuild(s.first, visit), _rebuild(s.second, visit))
+    if isinstance(s, IfThenElse):
+        s = IfThenElse(
+            s.cond, _rebuild(s.then_branch, visit), _rebuild(s.else_branch, visit)
+        )
+    elif isinstance(s, While):
+        s = While(s.cond, _rebuild(s.body, visit))
+    elif isinstance(s, RankedChoice):
+        s = RankedChoice(_rebuild(s.first, visit), s.rank, _rebuild(s.second, visit))
+    return visit(s)
+
+
+def with_runtime_error(rng, program):
+    """``program`` with one statement put before a statement drawn at random:
+    a choice with offset ``(0 - 1)``, ``x := inf`` or ``x := y - inf``.  It
+    raises a runtime error in every state that reaches it, and nothing else
+    in a generated program does."""
+    sites = []
+    _rebuild(program, lambda s: sites.append(s) or s)
+    target = rng.randrange(len(sites))
+    name, other = rng.choice(VARS), Var(rng.choice(VARS))
+    error = rng.choice(
+        [
+            RankedChoice(Skip(), BinOp("-", IntLit(0), IntLit(1)), Skip()),
+            Assign(name, (), IntLit(INF)),
+            Assign(name, (), BinOp("-", other, IntLit(INF))),
+        ]
+    )
+    seen = iter(range(len(sites)))
+    return _rebuild(program, lambda s: Seq(error, s) if next(seen) == target else s)

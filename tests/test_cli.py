@@ -198,6 +198,24 @@ class TestRun:
         )
         assert code == 4 and "enum" in err
 
+    def test_missing_comma_in_define_is_an_input_error(self, tmp_path):
+        path = tmp_path / "a.rpl"
+        path.write_text("x := a[1];\n")
+        code, out, err = run_cli(["run", str(path), "--define", "a=[1 2]"])
+        assert (code, out) == (4, "")
+        assert err == "input error: expected ',' or ']' after an item, found '2'\n"
+
+    @pytest.mark.parametrize("option", ["--define", "--input"])
+    def test_deeply_nested_value_runs(self, tmp_path, monkeypatch, option):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.rpl").write_text("skip;\n")
+        value = "[" * 3000 + "7" + "]" * 3000
+        (tmp_path / "deep.input").write_text(f"a = {value}\n")
+        argument = f"a={value}" if option == "--define" else "deep.input"
+        code, out, err = run_cli(["run", "a.rpl", option, argument])
+        assert (code, err) == (0, "")
+        assert out == "rank 0: a" + "[0]" * 3000 + "=7\n"
+
     @pytest.mark.parametrize(
         "options",
         [

@@ -7,7 +7,12 @@ import rankpl.evaluator
 import rankpl.syntax
 from conftest import run_cli
 from oracle import oracle_ranking
-from proggen import random_loop_program, random_program, random_sugar_program
+from proggen import (
+    random_loop_program,
+    random_program,
+    random_sugar_program,
+    with_runtime_error,
+)
 from rankpl.engine import (
     ERROR_KINDS,
     Outcome,
@@ -30,7 +35,7 @@ from rankpl.ranking import (
     normalize,
     rank_of,
 )
-from rankpl.syntax import Assign, BinOp, IntLit, Seq, Stmt, Var
+from rankpl.syntax import Assign, BinOp, IntLit, Seq, Stmt, Var, pretty_print
 
 INTRO = (
     "x := 10; either {y:=1} or (1) { either {y:=2} or (1) {y:=3} }; x := x*y;"
@@ -128,6 +133,14 @@ class TestCorpusEquivalence:
         assert enumerate_collect(program) == oracle_ranking(program)
 
 
+#: the oracle's abort messages, with the engine's error kind for each
+ORACLE_ABORTS = {
+    "negative choice rank": "negative-choice-rank",
+    "undefined inf arithmetic": "undefined-infinity-arith",
+    "storing inf": "undefined-infinity-arith",
+}
+
+
 class TestOracleEquivalence:
     def test_collect_equals_reference_on_random_programs(self):
         rng = random.Random(97)
@@ -189,6 +202,45 @@ class TestOracleEquivalence:
             assert [o.rank for o in got] == sorted(o.rank for o in got)
             assert all(reference.rank(o.valuation) == o.rank for o in got)
             assert len(got) == min(2, len(reference))
+
+    def test_printed_programs_parse_and_run_alike(self):
+        # printed trees hold any_of with negative bounds, (0 - n) for
+        # negative literals, and right-nested sequences where the loop
+        # generator nests them to the left
+        rng = random.Random(8008)
+        signed = 0
+        for generate in (random_sugar_program, random_loop_program):
+            for _ in range(150):
+                program = generate(rng)
+                source = pretty_print(program)
+                signed += "any_of(-" in source
+                assert run_program(parse_program(source)) == run_program(program)
+        assert signed > 0
+
+    def test_injected_errors_abort_alike(self):
+        # the injected statement raises in every state that reaches it, so
+        # the oracle aborts exactly when the engine raises, and the kinds
+        # agree (197 of these 300 programs raise)
+        rng = random.Random(9119)
+        raised = 0
+        for generate in (random_sugar_program, random_loop_program):
+            for _ in range(150):
+                program = with_runtime_error(rng, generate(rng))
+                try:
+                    expected = oracle_ranking(program)
+                except AssertionError as exc:
+                    [expected] = [
+                        kind
+                        for text, kind in ORACLE_ABORTS.items()
+                        if text in str(exc)
+                    ]
+                try:
+                    got = run_program(program)
+                except EvalError as exc:
+                    got = exc.kind
+                    raised += 1
+                assert got == expected
+        assert 0 < raised < 300
 
     def test_outcomes_ascend_and_never_repeat(self):
         # the stream is where the engine orders outcomes: by rank, then by
@@ -408,7 +460,16 @@ ERROR_PROGRAMS = {
     "non-boolean-bit-op": "x := 0 or(1) 1;\ny := (x + 2) xor 1;",
     "iteration-limit": "x := 0 or(1) 1;\nwhile x == 0 do { skip; };",
     "j-or-l-precondition": "x := 0 or(1) 1;\nobserveJ(1, x == 5);",
+    "nested-too-deeply": "x := 0 or(1) 1;\ny := " + " + ".join(["x"] * 1200) + ";",
 }
+
+
+def test_a_long_condition_is_nested_too_deeply():
+    # a left-nested chain of 1200 '||' is deeper than the recursion limit
+    program = parse_program("x := 1;\nobserve " + " || ".join(["x == 0"] * 1200) + ";")
+    with pytest.raises(EvalError) as err:
+        run_program(program)
+    assert (err.value.kind, err.value.pos) == ("nested-too-deeply", (2, 1))
 
 
 @pytest.mark.parametrize("kind", ERROR_KINDS)

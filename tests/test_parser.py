@@ -191,6 +191,16 @@ class TestParseProgram:
     def test_any_of(self):
         assert parse_program("x := any_of(0 .. 7);") == UniformPick("x", (), 0, 7)
 
+    def test_any_of_bounds_may_be_negative(self):
+        for lower, upper in ((-1, 1), (-3, -2), (0, 0)):
+            pick = UniformPick("x", (), lower, upper)
+            assert parse_program(pretty_print(pick)) == pick
+        assert parse_program("x := any_of(- 2 .. -0);") == UniformPick("x", (), -2, 0)
+        with pytest.raises(ParseError) as err:
+            parse_program("x := any_of(-y .. 1);")
+        assert err.value.message == "expected an integer literal"
+        assert err.value.column == 14
+
     def test_empty_any_of_range_is_an_error_at_the_any_of_token(self):
         with pytest.raises(ParseError) as err:
             parse_program("x := 0;\nif x == 1 then { y := any_of(3 .. 1); }")
@@ -228,6 +238,31 @@ class TestParseProgram:
         assert cond == parse_program(
             "observe (a == 0 && b == 1) || !(c < 2);"
         ).cond
+
+    def test_negation_takes_one_comparison(self):
+        program = parse_program("observe !x < 1 && y == 0;")
+        assert program.cond == And(
+            Not(Cmp("<", Var("x"), IntLit(1))), Cmp("==", Var("y"), IntLit(0))
+        )
+
+    def test_wrong_operand_kind_fails_right_after_the_operand(self):
+        cases = {
+            "observe x;": ("expected a comparison operator", 10),
+            "observe a && b < 1;": ("expected a comparison operator", 11),
+            "observe a < 1 && (b);": ("expected a comparison operator", 21),
+            "observe !(x) && y < 1;": ("expected a comparison operator", 14),
+            "x := (a < 1);": ("expected a number, not a condition", 13),
+            "observe (a < 1) + 1 < 2;": ("expected a number, not a condition", 17),
+            "if a < b < c then { skip; }": ("expected a number, not a condition", 10),
+        }
+        for source, (message, column) in cases.items():
+            with pytest.raises(ParseError) as err:
+                parse_program(source)
+            assert (err.value.message, err.value.line, err.value.column) == (
+                message,
+                1,
+                column,
+            ), source
 
     def test_numeric_precedence(self):
         program = parse_program("x := 1 + 2 * 3 xor 4;")
@@ -277,6 +312,9 @@ class TestParseProgram:
     def test_deep_nesting_within_the_recursion_limit_parses(self):
         parens = parse_program("x := " + "(" * 200 + "1" + ")" * 200 + ";")
         assert parens == Assign("x", (), IntLit(1))
+        # a level of parentheses costs one frame
+        parens = parse_program("observe " + "(" * 500 + "x < 1" + ")" * 500 + ";")
+        assert parens == Observe(Cmp("<", Var("x"), IntLit(1)))
         ifs = parse_program("if x == 0 then { " * 200 + "skip;" + " }" * 200)
         for _ in range(200):
             assert isinstance(ifs, IfThenElse)
