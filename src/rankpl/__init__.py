@@ -62,20 +62,16 @@ from .syntax import (
     pretty_print,
 )
 from .parser import ParseError, Token, parse_program, tokenize
-from .evaluator import (
-    EvalConfig,
-    EvalError,
-    denote,
-    initial_ranking,
-    run_program,
-)
 from .engine import (
     BudgetExhaustedError,
+    EvalError,
     Outcome,
     OutcomeStream,
     SearchOptions,
-    enumerate_collect,
+    denote,
     enumerate_outcomes,
+    initial_ranking,
+    run_program,
 )
 
 __version__ = "0.1.0"
@@ -132,18 +128,15 @@ __all__ = [
     "Token",
     "parse_program",
     "tokenize",
-    # evaluation
-    "EvalConfig",
-    "EvalError",
-    "denote",
-    "initial_ranking",
-    "run_program",
-    # enumeration
+    # running programs
     "BudgetExhaustedError",
+    "EvalError",
     "Outcome",
     "OutcomeStream",
     "SearchOptions",
-    "enumerate_collect",
+    "denote",
     "enumerate_outcomes",
+    "initial_ranking",
+    "run_program",
     "__version__",
 ]

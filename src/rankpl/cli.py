@@ -27,7 +27,7 @@ from .engine import (
     SearchOptions,
     enumerate_outcomes,
 )
-from .parser import ParseError, parse_program
+from .parser import ParseError, parse_program, tokenize
 from .ranking import INF, format_binding
 from .syntax import Assign, IntLit, Seq, Skip
 
@@ -109,7 +109,21 @@ def _strip_comments(text: str) -> str:
     return "\n".join(line.split("//", 1)[0] for line in text.splitlines())
 
 
-_ENTRY = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*=")
+_ENTRY = re.compile(r"([^\W\d]\w*)\s*=")
+
+
+def _variable_name(name: str) -> str:
+    """``name`` without surrounding blanks, if the program's tokenizer reads
+    it as one variable name; a define bound under any other name could
+    never be read by a program."""
+    name = name.strip()
+    try:
+        tokens = tokenize(name)
+    except ParseError:
+        tokens = []
+    if len(tokens) != 2 or tokens[0].kind != "identifier" or tokens[0].text != name:
+        raise InputError(f"{name!r} is not a variable name")
+    return name
 
 
 def parse_input_file(text: str, enums: dict) -> dict:
@@ -127,7 +141,8 @@ def parse_input_file(text: str, enums: dict) -> dict:
             raise InputError(f"junk in input file: {body[pos:match.start()].strip()!r}")
         following = _ENTRY.search(body, match.end())
         stop = following.start() if following else len(body)
-        defines[match.group(1)] = parse_define_value(body[match.end() : stop], enums)
+        name = _variable_name(match.group(1))
+        defines[name] = parse_define_value(body[match.end() : stop], enums)
         pos = stop
 
 
@@ -204,7 +219,7 @@ def cmd_run(args, out, err) -> int:
             name, eq, text = entry.partition("=")
             if not eq or not name.strip():
                 raise InputError(f"bad --define entry {entry!r}")
-            defines[name.strip()] = parse_define_value(text, enums)
+            defines[_variable_name(name)] = parse_define_value(text, enums)
     except InputError as exc:
         err.write(f"input error: {exc}\n")
         return EXIT_IO
@@ -294,8 +309,13 @@ def cmd_check(args, out, err) -> int:
 
 
 def _read(path: str) -> str:
+    """A file's text.  A file that is not UTF-8 cannot be read either, so it
+    raises ``OSError`` as a missing one does."""
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise OSError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

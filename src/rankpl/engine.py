@@ -15,8 +15,8 @@ nodes at run time, their lowering.  A conditional and a loop iteration are
 one branching step: the guard is tested once per state, and each slice runs
 renormalized and is lifted back into one merge, as each group of a ranked
 choice's penalized alternative is.  At an infinite budget nothing is pruned
-and the result is exact; ``run_program`` and ``denote`` in
-:mod:`rankpl.evaluator` are that exact run.
+and the result is exact; ``run_program`` and ``denote`` without a limit are
+that exact run.
 
 A bounded run (finite ``max_rank`` or ``max_outcomes``) runs the program
 repeatedly under a rank budget that at least doubles per round, pruning
@@ -138,19 +138,15 @@ class OutcomeStream:
     finite ``max_rank``).
     """
 
-    def __init__(self, generator, state):
-        self._generator = generator
-        self._state = state
+    def __init__(self, program: Stmt, prior: dict, opts: SearchOptions):
+        self.failed = False
+        self._outcomes = _stream(self, program, prior, opts)
 
     def __iter__(self):
         return self
 
     def __next__(self) -> Outcome:
-        return next(self._generator)
-
-    @property
-    def failed(self) -> bool:
-        return self._state["failed"]
+        return next(self._outcomes)
 
 
 class _Partial:
@@ -358,9 +354,9 @@ def _run_slice(
 ) -> tuple:
     """One contribution to a merge: run ``stmt`` on ``part``, a non-empty
     slice of ``p``'s entries renormalized to start at rank 0, and lift the
-    result back to the slice's least rank plus ``offset``.  Only a choice's
-    penalized alternative can start above the budget: every visible entry
-    lies within it."""
+    result back to the slice's least rank plus ``offset``.  A slice starts
+    above the budget when it is a choice's penalized alternative, or when
+    the prior of a bounded ``denote`` ranks states above the budget."""
     shift = min(part.values())
     lift = shift + offset
     if lift > ctx.budget:
@@ -517,10 +513,10 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
     raise TypeError(f"not a statement: {s!r}")
 
 
-# -- deepening driver ----------------------------------------------------------
+# -- runs --------------------------------------------------------------------
 
 
-def _stream(program: Stmt, opts: SearchOptions, state: dict):
+def _stream(stream: OutcomeStream, program: Stmt, prior: dict, opts: SearchOptions):
     emitted: set[Valuation] = set()
     count = 0
     # with every outcome wanted, deepening would only replay the program;
@@ -530,7 +526,7 @@ def _stream(program: Stmt, opts: SearchOptions, state: dict):
     while True:
         ctx = _Round(budget, opts.max_while_iterations)
         try:
-            result = _denote(program, _Partial({Valuation(): 0}, INF), ctx)
+            result = _denote(program, _Partial(prior, INF), ctx)
         except _InsufficientBudget:
             budget = ctx.next_budget()
             continue
@@ -548,17 +544,14 @@ def _stream(program: Stmt, opts: SearchOptions, state: dict):
             count += 1
             if opts.max_outcomes is not None and count >= opts.max_outcomes:
                 return
-        done = result.bound is INF or trusted >= opts.max_rank
-        if done:
-            if count == 0:
-                # a complete empty slice means no rank-0 state exists at all,
-                # which only the failure ranking allows
-                if not result.entries:
-                    state["failed"] = True
-                    return
+        if result.bound is INF or trusted >= opts.max_rank:
+            if count == 0 and result.entries:
                 raise BudgetExhaustedError(
                     f"no outcome within max rank {opts.max_rank}"
                 )
+            # a complete empty slice means no rank-0 state exists at all,
+            # which only the failure ranking allows
+            stream.failed = count == 0
             return
         budget = ctx.next_budget()
 
@@ -578,15 +571,33 @@ def enumerate_outcomes(s: Stmt, opts: SearchOptions | None = None) -> OutcomeStr
     follow some outcomes.  Without either limit the program runs once,
     exactly, and nothing is yielded before that run completes.
     """
+    return OutcomeStream(s, {Valuation(): 0}, opts or SearchOptions())
+
+
+def initial_ranking() -> Ranking:
+    """The starting point of every program: all variables 0, surprise 0."""
+    return Ranking({Valuation(): 0})
+
+
+def denote(s: Stmt, kappa: Ranking, opts: SearchOptions | None = None) -> Ranking:
+    """Run one statement, sugar included, against a prior ranking.
+
+    Without a ``max_rank`` or ``max_outcomes`` it runs once at infinite
+    budget, where nothing is pruned, into the exact posterior; with either
+    limit it collects what enumeration from ``kappa`` yields.  The failure
+    ranking is a legal result; runtime errors raise :class:`EvalError`."""
     opts = opts or SearchOptions()
-    state = {"failed": False}
-    return OutcomeStream(_stream(s, opts, state), state)
-
-
-def enumerate_collect(s: Stmt, opts: SearchOptions | None = None) -> Ranking:
-    """Materialize the stream into a ranking; with unlimited options this
-    equals ``run_program``'s result exactly."""
-    stream = enumerate_outcomes(s, opts)
-    entries = {outcome.valuation: outcome.rank for outcome in stream}
+    prior = dict(kappa.items())
+    if opts.max_rank is INF and opts.max_outcomes is None:
+        entries = _denote(
+            s, _Partial(prior, INF), _Round(INF, opts.max_while_iterations)
+        ).entries
+    else:
+        entries = {o.valuation: o.rank for o in OutcomeStream(s, prior, opts)}
     # a failed stream yields nothing, and an empty one that ends has failed
     return Ranking(entries) if entries else FAILURE
+
+
+def run_program(s: Stmt, opts: SearchOptions | None = None) -> Ranking:
+    """Run a whole program, as parsed, from the initial ranking."""
+    return denote(s, initial_ranking(), opts)

@@ -21,6 +21,14 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def collect(stream):
+    """The ranking an outcome stream yields; an empty one is the failure
+    ranking."""
+    from rankpl.ranking import Ranking
+
+    return Ranking({o.valuation: o.rank for o in stream})
+
+
 LOCALIZATION_ARGS = [
     "--input",
     str(PROGRAMS / "localization_map.input"),

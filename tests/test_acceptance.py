@@ -7,12 +7,11 @@ tests/test_acceptance.py`` to see them.
 
 import random
 
-from conftest import LOCALIZATION_ARGS, PROGRAMS, run_cli
+from conftest import LOCALIZATION_ARGS, PROGRAMS, collect, run_cli
 from oracle import oracle_ranking
 from proggen import random_program
 from rankpl.cli import binding_prelude, parse_input_file
-from rankpl.engine import SearchOptions, enumerate_collect, enumerate_outcomes
-from rankpl.evaluator import denote, run_program
+from rankpl.engine import SearchOptions, denote, enumerate_outcomes, run_program
 from rankpl.parser import parse_program
 from rankpl.ranking import (
     Ranking,
@@ -193,7 +192,7 @@ def test_ac08_engine_matches_oracle():
     for index in range(500):
         program = random_program(rng)
         reference = oracle_ranking(program)
-        assert enumerate_collect(program) == reference, f"program {index}"
+        assert collect(enumerate_outcomes(program)) == reference, f"program {index}"
         assert run_program(program) == reference, f"program {index}"
         if reference.is_failure:
             failures += 1

@@ -188,6 +188,51 @@ class TestRun:
         code, _, err = run_cli(["run", str(tmp_path / "absent.rpl")])
         assert code == 4 and "cannot read" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "bad.rpl"],
+            ["run", "a.rpl", "--input", "bad.input"],
+            ["check", "bad.rpl"],
+        ],
+        ids=["run", "input", "check"],
+    )
+    def test_undecodable_file_cannot_be_read(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.rpl").write_text("x := a;\n")
+        (tmp_path / "bad.rpl").write_bytes(b"x := 1;\n\xff\n")
+        (tmp_path / "bad.input").write_bytes(b"a = 1\n\xff\n")
+        code, out, err = run_cli(argv)
+        assert (code, out) == (4, "")
+        bad = argv[-1]
+        assert err == f"cannot read input: {bad}: not UTF-8 text (invalid start byte)\n"
+
+    @pytest.mark.parametrize("name", ["x[0]", "a b", "1x", "if"])
+    def test_define_name_must_be_a_variable_name(self, tmp_path, name):
+        path = tmp_path / "a.rpl"
+        path.write_text("y := x[0];\n")
+        code, out, err = run_cli(["run", str(path), "--define", f"{name}=3"])
+        assert (code, out) == (4, "")
+        assert err == f"input error: {name!r} is not a variable name\n"
+
+    @pytest.mark.parametrize(
+        "options, expected",
+        [
+            (["--input", "if.input"], (4, "", "input error: 'if' is not a variable name\n")),
+            (["--input", "e.input"], (0, "rank 0: y=3\n", "")),
+            (["--define", "\u00e9=4"], (0, "rank 0: y=4\n", "")),
+        ],
+        ids=["keyword-input", "unicode-input", "unicode-define"],
+    )
+    def test_input_file_names_follow_the_define_rules(
+        self, tmp_path, monkeypatch, options, expected
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.rpl").write_text("y := \u00e9;\n", encoding="utf-8")
+        (tmp_path / "if.input").write_text("if = 3\n")
+        (tmp_path / "e.input").write_text("\u00e9 = 3\n", encoding="utf-8")
+        assert run_cli(["run", "a.rpl", *options, "--project", "y"]) == expected
+
     def test_bad_define(self, programs):
         code, _, err = run_cli(
             ["run", str(programs / "intro.rpl"), "--define", "k=[1,"]

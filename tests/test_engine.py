@@ -3,9 +3,8 @@ import random
 import pytest
 
 import rankpl.engine
-import rankpl.evaluator
 import rankpl.syntax
-from conftest import run_cli
+from conftest import collect, run_cli
 from oracle import oracle_ranking
 from proggen import (
     random_loop_program,
@@ -15,15 +14,16 @@ from proggen import (
 )
 from rankpl.engine import (
     ERROR_KINDS,
+    EvalError,
     Outcome,
     SearchOptions,
     _denote,
     _Partial,
     _Round,
-    enumerate_collect,
+    denote,
     enumerate_outcomes,
+    run_program,
 )
-from rankpl.evaluator import EvalConfig, EvalError, run_program
 from rankpl.parser import parse_program
 from rankpl.ranking import (
     FAILURE,
@@ -102,20 +102,22 @@ class TestEnumerate:
 
 class TestEnumerateCollect:
     def test_skip(self):
-        assert enumerate_collect(parse_program("skip;")) == Ranking({Valuation(): 0})
+        assert collect(enumerate_outcomes(parse_program("skip;"))) == Ranking(
+            {Valuation(): 0}
+        )
 
     def test_matches_reference_on_corpus_style_program(self):
         program = parse_program(INTRO_OBSERVE)
-        assert enumerate_collect(program) == oracle_ranking(program)
+        assert collect(enumerate_outcomes(program)) == oracle_ranking(program)
 
     def test_failure_collects_to_failure(self):
-        assert enumerate_collect(parse_program("observe 1 == 2;")) == FAILURE
+        assert collect(enumerate_outcomes(parse_program("observe 1 == 2;"))) == FAILURE
 
 
 class TestCorpusEquivalence:
     def test_adder_full_enumeration_matches_reference(self, programs):
         program = parse_program((programs / "adder.rpl").read_text())
-        assert enumerate_collect(program) == oracle_ranking(program)
+        assert run_program(program) == oracle_ranking(program)
 
     def test_localization_matches_reference(self, programs):
         from conftest import PROGRAMS
@@ -130,7 +132,7 @@ class TestCorpusEquivalence:
             binding_prelude(defines),
             parse_program((programs / "localization.rpl").read_text()),
         )
-        assert enumerate_collect(program) == oracle_ranking(program)
+        assert run_program(program) == oracle_ranking(program)
 
 
 #: the oracle's abort messages, with the engine's error kind for each
@@ -146,7 +148,7 @@ class TestOracleEquivalence:
         rng = random.Random(97)
         for _ in range(200):
             program = random_program(rng)
-            assert enumerate_collect(program) == oracle_ranking(program)
+            assert collect(enumerate_outcomes(program)) == oracle_ranking(program)
 
     def test_prefix_slices_match_reference(self):
         rng = random.Random(98)
@@ -175,7 +177,7 @@ class TestOracleEquivalence:
             program = random_sugar_program(rng)
             reference = oracle_ranking(program)
             assert run_program(program) == reference
-            assert enumerate_collect(program) == reference
+            assert collect(enumerate_outcomes(program)) == reference
             for cap in (0, 1, 2):
                 stream = enumerate_outcomes(program, SearchOptions(max_rank=cap))
                 got = {o.valuation: o.rank for o in stream}
@@ -192,7 +194,7 @@ class TestOracleEquivalence:
             program = random_loop_program(rng)
             reference = oracle_ranking(program)
             assert run_program(program) == reference
-            assert enumerate_collect(program) == reference
+            assert collect(enumerate_outcomes(program)) == reference
             for cap in (0, 1, 2):
                 stream = enumerate_outcomes(program, SearchOptions(max_rank=cap))
                 got = {o.valuation: o.rank for o in stream}
@@ -277,11 +279,11 @@ class TestParsedTreeRunsDirectly:
         def refuse(*args, **kwargs):
             raise AssertionError("desugar called on the run path")
 
-        for module in (rankpl.syntax, rankpl.engine, rankpl.evaluator):
+        for module in (rankpl.syntax, rankpl.engine):
             monkeypatch.setattr(module, "desugar", refuse)
         assert run_program(program) == reference
-        assert enumerate_collect(program) == reference
-        assert enumerate_collect(program, SearchOptions(max_rank=1)) == Ranking(
+        assert collect(enumerate_outcomes(program)) == reference
+        assert run_program(program, SearchOptions(max_rank=1)) == Ranking(
             {v: r for v, r in reference.items() if r <= 1}
         )
         path = tmp_path / "sugar.rpl"
@@ -306,7 +308,7 @@ class TestLeftNestedSequences:
             program = Seq(program, Assign("x", (), BinOp("+", Var("x"), IntLit(1))))
         expected = Ranking({Valuation({"x": 3000}): 0})
         assert run_program(program) == expected
-        assert enumerate_collect(program, SearchOptions(max_rank=0)) == expected
+        assert run_program(program, SearchOptions(max_rank=0)) == expected
 
     def test_the_oracle_runs_a_3000_statement_program(self):
         # the parser nests to the right and a library caller may nest to the
@@ -351,9 +353,8 @@ def run_counted(monkeypatch, interpreter, source):
 
     monkeypatch.setattr(rankpl.engine, "_compare", counting)
     program = parse_program(source)
-    if interpreter == "engine":
-        stream = enumerate_outcomes(program)
-        result = Ranking({o.valuation: o.rank for o in stream})
+    if interpreter == "enumerate_outcomes":
+        result = collect(enumerate_outcomes(program))
     else:
         result = run_program(program)
     return result, calls[0]
@@ -373,7 +374,7 @@ class TestRankOfOncePerRanking:
     PRIOR = Ranking({Valuation({"x": x}): 0 for x in range(N)})
     EVENT = staticmethod(lambda v: v.get("x") > 196)
 
-    @pytest.mark.parametrize("interpreter", ["evaluator", "engine"])
+    @pytest.mark.parametrize("interpreter", ["run_program", "enumerate_outcomes"])
     def test_choice_offset(self, monkeypatch, interpreter):
         result, calls = run_counted(
             monkeypatch,
@@ -389,7 +390,7 @@ class TestRankOfOncePerRanking:
         assert result == normalize(min_merge(self.PRIOR.as_dict(), moved))
         assert calls < 5 * self.N
 
-    @pytest.mark.parametrize("interpreter", ["evaluator", "engine"])
+    @pytest.mark.parametrize("interpreter", ["run_program", "enumerate_outcomes"])
     def test_observe_l(self, monkeypatch, interpreter):
         # the expansion reads rank(b) in a guard and in a choice offset, and
         # its observations and precondition test the condition per state
@@ -400,11 +401,44 @@ class TestRankOfOncePerRanking:
         assert calls < 10 * self.N
 
 
+class TestBoundedDenote:
+    """A bounded ``denote`` enumerates from its prior, which may rank states
+    above the first rounds' budgets, and still yields the least-ranked slice
+    of the exact posterior."""
+
+    GRADED = Ranking({Valuation({"x": x}): x % 4 for x in range(12)})
+    SOURCES = (
+        "either { y := 1; } or (x % 3) { y := 2; };",
+        "if x > 3 then { observe y == 0; x := x + 1 or(2) x; } "
+        "else { y := 1 or(1) 2; };",
+        "observeL(1, x < 5);",
+        "observeJ(2, x == 7);",
+        "while 8 < x do { x := x - 3 or(1) x - 1; };",
+        "observe x % 2 == 1; y := any_of(0 .. 1);",
+        "either { skip; } or (rank(x == 9) + 1) { x := 0; };",
+        "observe 11 < x;",
+    )
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_slices_of_the_exact_posterior(self, source):
+        program = parse_program(source)
+        for prior in (self.GRADED, TestRankOfOncePerRanking.PRIOR, FAILURE):
+            exact = denote(program, prior)
+            for cap in (0, 1, 2):
+                got = denote(program, prior, SearchOptions(max_rank=cap))
+                assert got == Ranking({v: r for v, r in exact.items() if r <= cap})
+            first = denote(program, prior, SearchOptions(max_outcomes=1))
+            if exact.is_failure:
+                assert first == FAILURE
+            else:
+                least = min((r, v) for v, r in exact.items())[1]
+                assert first == Ranking({least: 0})
+
 class TestWhileStep:
     """A loop tests its guard once per state per iteration, and checks the
     iteration limit at the first state that satisfies it."""
 
-    @pytest.mark.parametrize("interpreter", ["evaluator", "engine"])
+    @pytest.mark.parametrize("interpreter", ["run_program", "enumerate_outcomes"])
     def test_guard_is_tested_once_per_state(self, monkeypatch, interpreter):
         # 200 states, three of which run the body five times: six guard scans
         # of 200 + 3 comparisons each (a state with x > 196 also reads y < 5)
@@ -424,7 +458,7 @@ class TestWhileStep:
         program = parse_program(self.SOURCE)
         errors = []
         for run in (
-            lambda: run_program(program, EvalConfig(limit)),
+            lambda: run_program(program, SearchOptions(max_while_iterations=limit)),
             lambda: list(
                 enumerate_outcomes(program, SearchOptions(max_while_iterations=limit))
             ),
@@ -479,7 +513,7 @@ def test_errors_agree_across_entry_points(kind, tmp_path):
     limit = 50
     errors = []
     for run in (
-        lambda: run_program(program, EvalConfig(limit)),
+        lambda: run_program(program, SearchOptions(max_while_iterations=limit)),
         lambda: list(
             enumerate_outcomes(program, SearchOptions(max_while_iterations=limit))
         ),

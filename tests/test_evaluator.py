@@ -4,9 +4,9 @@ import pytest
 
 from oracle import oracle_run
 from proggen import random_program
-from rankpl.evaluator import (
-    EvalConfig,
+from rankpl.engine import (
     EvalError,
+    SearchOptions,
     denote,
     initial_ranking,
     run_program,
@@ -46,8 +46,8 @@ def val(**bindings):
     return Valuation(bindings)
 
 
-def run_source(source, cfg=None):
-    return run_program(parse_program(source), cfg)
+def run_source(source, opts=None):
+    return run_program(parse_program(source), opts)
 
 
 Y1 = val(y=1)
@@ -154,7 +154,9 @@ class TestDenote:
 
     def test_endless_loop_hits_iteration_limit(self):
         with pytest.raises(EvalError) as err:
-            run_source("while 0 < 1 do { skip; }", EvalConfig(max_while_iterations=50))
+            run_source(
+                "while 0 < 1 do { skip; }", SearchOptions(max_while_iterations=50)
+            )
         assert err.value.kind == "iteration-limit"
 
     def test_skip_program(self):
