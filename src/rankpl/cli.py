@@ -48,7 +48,8 @@ class InputError(Exception):
 # -- input values ---------------------------------------------------------------
 
 
-_VALUE_TOKEN = re.compile(r"-?[0-9]+|[A-Za-z_][A-Za-z0-9_]*|\[|\]|,")
+_NAME_TOKEN = r"[A-Za-z_][A-Za-z0-9_]*"
+_VALUE_TOKEN = re.compile(rf"-?[0-9]+|{_NAME_TOKEN}|\[|\]|,")
 
 
 def _tokenize_value(text: str) -> list[str]:
@@ -123,6 +124,16 @@ def _variable_name(name: str) -> str:
         tokens = []
     if len(tokens) != 2 or tokens[0].kind != "identifier" or tokens[0].text != name:
         raise InputError(f"{name!r} is not a variable name")
+    return name
+
+
+def _enum_name(name: str) -> str:
+    """``name`` without surrounding blanks, if a value can name it: values
+    are read with ``_VALUE_TOKEN``, so an enum under any other name could
+    never be used."""
+    name = name.strip()
+    if not re.fullmatch(_NAME_TOKEN, name):
+        raise InputError(f"{name!r} is not an enum name")
     return name
 
 
@@ -211,7 +222,7 @@ def cmd_run(args, out, err) -> int:
                 name, _, number = piece.partition("=")
                 if not name.strip() or not re.fullmatch(r"-?[0-9]+", number.strip()):
                     raise InputError(f"bad --enum entry {piece!r}")
-                enums[name.strip()] = int(number.strip())
+                enums[_enum_name(name)] = int(number.strip())
         defines = {}
         for path in args.input:
             defines.update(parse_input_file(_read(path), enums))

@@ -10,13 +10,16 @@ infinity arithmetic, runaway loops) abort the run.
 ``_denote`` runs one statement of the parsed tree against a
 budget-truncated ranking.  The parser has already built ``if … then`` and
 ``x := e1 or(e) e2`` as core statements; the sugar left, ``any_of`` and
-``observeJ``/``observeL``, runs as it is, and only the observations build
-nodes at run time, their lowering.  A conditional and a loop iteration are
-one branching step: the guard is tested once per state, and each slice runs
-renormalized and is lifted back into one merge, as each group of a ranked
-choice's penalized alternative is.  At an infinite budget nothing is pruned
-and the result is exact; ``run_program`` and ``denote`` without a limit are
-that exact run.
+``observeJ``/``observeL``, runs as it is, and nothing builds a syntax node at
+run time.  A conditional and a loop iteration are one branching step: the
+guard is tested once per state, and each slice runs renormalized and is
+lifted back into one merge, as each group of a ranked choice's penalized
+alternative is.  The branching step, the slice step and the grouping of a
+choice by penalty take the branch body as a callable, so ``observeJ`` and
+``observeL`` run as the steps of their lowering (see ``syntax.desugar``)
+without building it, and test their condition once per state.  At an
+infinite budget nothing is pruned and the result is exact; ``run_program``
+and ``denote`` without a limit are that exact run.
 
 A bounded run (finite ``max_rank`` or ``max_outcomes``) runs the program
 repeatedly under a rank budget that at least doubles per round, pruning
@@ -44,6 +47,7 @@ projected lines.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .ranking import FAILURE, INF, RANK_LIMIT, RankArithmeticError, Ranking, Valuation
@@ -69,9 +73,10 @@ from .syntax import (
     UniformPick,
     Var,
     While,
-    desugar,  # noqa: F401  not called here; perfbench/layertrace.py wraps it
-    expand_observe_j,
-    expand_observe_l,
+    # not called here; perfbench/layertrace.py wraps these three
+    desugar,  # noqa: F401
+    expand_observe_j,  # noqa: F401
+    expand_observe_l,  # noqa: F401
     statements,
 )
 
@@ -163,7 +168,8 @@ class _Partial:
     def __init__(self, entries: dict, bound):
         self.entries = entries
         self.bound = bound
-        # rank(b) values read against this ranking, keyed on the RankOf node
+        # rank(b) values read against this ranking, keyed on id() of the
+        # RankOf node; the program tree keeps every node read alive
         self.ranks = {}
 
 
@@ -266,10 +272,11 @@ def _eval_num(sigma: Valuation, partial: _Partial, e: NumExpr):
     if isinstance(e, Var):
         return sigma.get(e.name, _indices(sigma, partial, e.indices, e.pos))
     if isinstance(e, RankOf):
-        # the value depends on the ranking alone, so scan it once per node
-        value = partial.ranks.get(e)
+        # the value depends on the ranking alone, so scan it once per node;
+        # nodes are keyed by identity, as hashing one hashes its whole tree
+        value = partial.ranks.get(id(e))
         if value is None:
-            value = partial.ranks[e] = _rank_of(partial, e.cond)
+            value = partial.ranks[id(e)] = _rank_of(partial, e.cond)
         return value
     if isinstance(e, BinOp):
         left = _eval_num(sigma, partial, e.left)
@@ -315,6 +322,8 @@ def _normalized(entries: dict, bound) -> _Partial:
             return _Partial({}, INF)
         raise _InsufficientBudget
     low = min(entries.values())
+    if low == 0:
+        return _Partial(entries, bound)
     return _Partial({sigma: rank - low for sigma, rank in entries.items()}, bound - low)
 
 
@@ -326,16 +335,20 @@ def _merge(contributions, prior_bound, ctx: _Round) -> _Partial:
     for entries, contrib_bound in contributions:
         if contrib_bound < bound:
             bound = contrib_bound
+        if not merged:
+            merged.update(entries)
+            continue
         for state, rank in entries.items():
             current = merged.get(state)
             if current is None or rank < current:
                 merged[state] = rank
-    over_budget = [s for s, r in merged.items() if r > ctx.budget]
-    if over_budget:
-        for state in over_budget:
-            ctx.note_pruned(merged.pop(state))
-        if ctx.budget < bound:
-            bound = ctx.budget
+    if ctx.budget is not INF:
+        over_budget = [s for s, r in merged.items() if r > ctx.budget]
+        if over_budget:
+            for state in over_budget:
+                ctx.note_pruned(merged.pop(state))
+            if ctx.budget < bound:
+                bound = ctx.budget
     if bound is not INF:
         # entries above the bound may yet be undercut by pruned alternatives
         for state in [s for s, r in merged.items() if r > bound]:
@@ -343,20 +356,13 @@ def _merge(contributions, prior_bound, ctx: _Round) -> _Partial:
     return _normalized(merged, bound)
 
 
-def _checked(rank: int, pos) -> int:
-    if rank >= RANK_LIMIT:
-        raise EvalError("undefined-infinity-arith", pos, "rank overflow")
-    return rank
-
-
-def _run_slice(
-    stmt: Stmt, part: dict, offset: int, p: _Partial, pos, ctx: _Round
-) -> tuple:
-    """One contribution to a merge: run ``stmt`` on ``part``, a non-empty
-    slice of ``p``'s entries renormalized to start at rank 0, and lift the
-    result back to the slice's least rank plus ``offset``.  A slice starts
-    above the budget when it is a choice's penalized alternative, or when
-    the prior of a bounded ``denote`` ranks states above the budget."""
+def _run_slice(run, part: dict, offset: int, p: _Partial, pos, ctx: _Round) -> tuple:
+    """One contribution to a merge: ``run`` a branch body (``run(sub, ctx)``
+    returns its posterior) on ``part``, a non-empty slice of ``p``'s entries
+    renormalized to start at rank 0, and lift the result back to the
+    slice's least rank plus ``offset``.  A slice starts above the budget
+    when it is a choice's penalized alternative, or when the prior of a
+    bounded ``denote`` ranks states above the budget."""
     shift = min(part.values())
     lift = shift + offset
     if lift > ctx.budget:
@@ -364,47 +370,206 @@ def _run_slice(
         # remember that nothing below the budget is missing
         ctx.note_pruned(lift)
         return {}, ctx.budget
-    sub = _Partial(
-        {sigma: rank - shift for sigma, rank in part.items()}, p.bound - shift
-    )
-    result = _denote(stmt, sub, ctx)
-    return (
-        {sigma: _checked(rank + lift, pos) for sigma, rank in result.entries.items()},
-        result.bound + lift,
-    )
+    if shift:
+        part = {sigma: rank - shift for sigma, rank in part.items()}
+    result = run(_Partial(part, p.bound - shift), ctx)
+    entries = result.entries
+    if lift:
+        if entries and max(entries.values()) + lift >= RANK_LIMIT:
+            raise EvalError("undefined-infinity-arith", pos, "rank overflow")
+        entries = {sigma: rank + lift for sigma, rank in entries.items()}
+    return entries, result.bound + lift
 
 
 def _branch(
-    s, then_branch: Stmt, else_branch, p: _Partial, ctx: _Round, iteration: int = 0
+    test, then_run, else_run, p: _Partial, pos, ctx: _Round, iteration: int = 0
 ):
-    """One conditional step of ``s``, an ``if`` or a loop: test the guard
-    once per state, run each branch on its slice and merge.
+    """One conditional step, of an ``if`` or a loop: ``test`` each state
+    once, run each branch body on its slice and merge.
 
-    A loop passes no ``else_branch`` and the number of the iteration this
-    step would run: the states that fail its guard pass through unchanged,
-    the iteration limit is checked at the first state that satisfies it,
-    and the step returns None when no state does.
+    A loop passes no ``else_run`` and the number of the iteration this step
+    would run: the states that fail its guard pass through unchanged, the
+    iteration limit is checked at the first state that satisfies it, and
+    the step returns None when no state does.
     """
     sats: dict[Valuation, int] = {}
     fails: dict[Valuation, int] = {}
     for sigma, rank in p.entries.items():
-        if not _holds(sigma, p, s.cond):
+        if not test(sigma):
             fails[sigma] = rank
         else:
             if iteration > ctx.iteration_limit and not sats:
-                raise EvalError("iteration-limit", s.pos)
+                raise EvalError("iteration-limit", pos)
             sats[sigma] = rank
     contributions = []
     if sats:
-        contributions.append(_run_slice(then_branch, sats, 0, p, s.pos, ctx))
-    elif else_branch is None:
+        contributions.append(_run_slice(then_run, sats, 0, p, pos, ctx))
+    elif else_run is None:
         return None
     if fails:
-        if else_branch is None:
+        if else_run is None:
             contributions.append((fails, p.bound))
         else:
-            contributions.append(_run_slice(else_branch, fails, 0, p, s.pos, ctx))
+            contributions.append(_run_slice(else_run, fails, 0, p, pos, ctx))
     return _merge(contributions, p.bound, ctx)
+
+
+def _choice(left: _Partial, offset, run, p: _Partial, pos, ctx: _Round) -> _Partial:
+    """A ranked choice on ``p``: merge ``left``, the first alternative's
+    posterior, with ``run`` on each group of ``p``'s states that share a
+    penalty ``offset(sigma)``, in ascending order of the penalty; a state
+    whose penalty is infinite takes no second alternative."""
+    contributions = [(left.entries, left.bound)]
+    groups: dict[int, dict[Valuation, int]] = {}
+    for sigma, rank in p.entries.items():
+        penalty = offset(sigma)
+        if penalty is INF:
+            continue
+        if penalty < 0:
+            raise EvalError("negative-choice-rank", pos, f"rank {penalty}")
+        if penalty >= RANK_LIMIT:
+            raise EvalError(
+                "undefined-infinity-arith", pos, f"rank {penalty} out of range"
+            )
+        groups.setdefault(penalty, {})[sigma] = rank
+    for penalty, part in sorted(groups.items()):
+        contributions.append(_run_slice(run, part, penalty, p, pos, ctx))
+    return _merge(contributions, p.bound, ctx)
+
+
+# -- graded observations -------------------------------------------------------
+#
+# observeJ(n, b) and observeL(n, b) run as the steps of their lowering
+# (``syntax.expand_observe_j``/``expand_observe_l``), in the lowering's order,
+# without building it: the slices, rounds, errors and their positions are the
+# lowering's.  The condition is tested once per state of the prior, and that
+# truth table serves the precondition, every split of b from !b and every
+# rank(b) or rank(!b).  A condition that reads rank() reads the ranking it is
+# tested against, so each slice the lowering tests it on tests it afresh.
+# The strength is read per state: against the prior by observeJ and by
+# observeL's guard, against the guard's slice in observeL's offsets.
+
+
+def _reads_rank(e) -> bool:
+    """Whether expression ``e`` contains a ``rank()``."""
+    pending = [e]
+    while pending:
+        e = pending.pop()
+        if isinstance(e, RankOf):
+            return True
+        if isinstance(e, Not):
+            pending.append(e.operand)
+        elif isinstance(e, Var):
+            pending.extend(e.indices)
+        elif not isinstance(e, IntLit):
+            pending += (e.left, e.right)
+    return False
+
+
+def _split(q: _Partial, truth: dict) -> tuple:
+    """``q``'s entries where the condition holds, and where it does not."""
+    yes: dict[Valuation, int] = {}
+    no: dict[Valuation, int] = {}
+    for sigma, rank in q.entries.items():
+        if truth[sigma]:
+            yes[sigma] = rank
+        else:
+            no[sigma] = rank
+    return yes, no
+
+
+def _least(part: dict, q: _Partial):
+    """The rank in ``q`` of an event, given ``part``, the entries of ``q``
+    where it holds: None when no state of it is visible and it may hide
+    above ``q``'s finite bound."""
+    if part:
+        return min(part.values())
+    return INF if q.bound is INF else None
+
+
+def _observe_where(truths, holds: bool, q: _Partial, ctx: _Round) -> _Partial:
+    """``observe b`` (``holds``) or ``observe !b`` on ``q``."""
+    truth = truths(q)
+    kept = {sigma: rank for sigma, rank in q.entries.items() if truth[sigma] == holds}
+    return _normalized(kept, q.bound)
+
+
+def _taken(s: ObserveL, truths, q: _Partial, ctx: _Round) -> _Partial:
+    """``either { observe b } or (n - rank(b) + rank(!b)) { observe !b }``"""
+    yes, no = _split(q, truths(q))
+    left = _normalized(yes, q.bound)
+    rank_b, rank_not_b = _least(yes, q), _least(no, q)
+
+    def offset(sigma):
+        diff = _apply_binop("-", _eval_num(sigma, q, s.strength), rank_b, s.pos)
+        if rank_not_b is None:
+            raise _InsufficientBudget
+        return _apply_binop("+", diff, rank_not_b, s.pos)
+
+    run = functools.partial(_observe_where, truths, False)
+    return _choice(left, offset, run, q, s.pos, ctx)
+
+
+def _flipped(s: ObserveL, truths, q: _Partial, ctx: _Round) -> _Partial:
+    """``either { observe !b } or (rank(b) - n) { observe b }``"""
+    yes, no = _split(q, truths(q))
+    left = _normalized(no, q.bound)
+    rank_b = _least(yes, q)
+
+    def offset(sigma):
+        if rank_b is None:
+            raise _InsufficientBudget
+        return _apply_binop("-", rank_b, _eval_num(sigma, q, s.strength), s.pos)
+
+    run = functools.partial(_observe_where, truths, True)
+    return _choice(left, offset, run, q, s.pos, ctx)
+
+
+def _observe_graded(s, p: _Partial, ctx: _Round) -> _Partial:
+    """observeJ or observeL on ``p``: check that the condition and its
+    negation both have finite rank, then run the lowering's steps."""
+    truth = {sigma: _holds(sigma, p, s.cond) for sigma in p.entries}
+    holders = sum(truth.values())
+    if holders == 0 or holders == len(truth):
+        if p.bound is INF:
+            raise EvalError(
+                "j-or-l-precondition",
+                s.pos,
+                "condition and its negation must both have finite rank",
+            )
+        raise _InsufficientBudget
+    # truths(q) tells, per state of a slice q, whether the condition holds
+    if _reads_rank(s.cond):
+
+        def truths(q):
+            return {sigma: _holds(sigma, q, s.cond) for sigma in q.entries}
+
+    else:
+
+        def truths(q):
+            return truth
+
+    yes = {sigma: rank for sigma, rank in p.entries.items() if truth[sigma]}
+    if isinstance(s, ObserveJ):
+        # either { observe b } or (n) { observe !b }
+        return _choice(
+            _normalized(yes, p.bound),
+            functools.partial(_eval_num, partial=p, e=s.strength),
+            functools.partial(_observe_where, truths, False),
+            p,
+            s.pos,
+            ctx,
+        )
+    # if rank(b) <= n then { taken } else { flipped }
+    rank_b = min(yes.values())
+    return _branch(
+        lambda sigma: _compare("<=", rank_b, _eval_num(sigma, p, s.strength)),
+        functools.partial(_taken, s, truths),
+        functools.partial(_flipped, s, truths),
+        p,
+        s.pos,
+        ctx,
+    )
 
 
 def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
@@ -454,32 +619,32 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
             return _normalized(kept, p.bound)
 
         if isinstance(s, IfThenElse):
-            return _branch(s, s.then_branch, s.else_branch, p, ctx)
+            return _branch(
+                functools.partial(_holds, partial=p, b=s.cond),
+                functools.partial(_denote, s.then_branch),
+                functools.partial(_denote, s.else_branch),
+                p,
+                s.pos,
+                ctx,
+            )
 
         if isinstance(s, RankedChoice):
-            left = _denote(s.first, p, ctx)
-            contributions = [(left.entries, left.bound)]
-            groups: dict[int, dict[Valuation, int]] = {}
-            for sigma, rank in p.entries.items():
-                offset = _eval_num(sigma, p, s.rank)
-                if offset is INF:
-                    continue
-                if offset < 0:
-                    raise EvalError("negative-choice-rank", s.pos, f"rank {offset}")
-                if offset >= RANK_LIMIT:
-                    raise EvalError(
-                        "undefined-infinity-arith", s.pos, f"rank {offset} out of range"
-                    )
-                groups.setdefault(offset, {})[sigma] = rank
-            for offset, part in sorted(groups.items()):
-                contributions.append(_run_slice(s.second, part, offset, p, s.pos, ctx))
-            return _merge(contributions, p.bound, ctx)
+            return _choice(
+                _denote(s.first, p, ctx),
+                functools.partial(_eval_num, partial=p, e=s.rank),
+                functools.partial(_denote, s.second),
+                p,
+                s.pos,
+                ctx,
+            )
 
         if isinstance(s, While):
+            body = functools.partial(_denote, s.body)
             iteration = 0
             while True:
                 iteration += 1
-                stepped = _branch(s, s.body, None, p, ctx, iteration)
+                guard = functools.partial(_holds, partial=p, b=s.cond)
+                stepped = _branch(guard, body, None, p, s.pos, ctx, iteration)
                 if stepped is None:
                     # nothing visible satisfies the guard; hidden states churn
                     # strictly above the bound and never disturb what is below it
@@ -487,23 +652,7 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
                 p = stepped
 
         if isinstance(s, (ObserveJ, ObserveL)):
-            holders = 0
-            for sigma in p.entries:
-                if _holds(sigma, p, s.cond):
-                    holders += 1
-            if holders == 0 or holders == len(p.entries):
-                if p.bound is INF:
-                    raise EvalError(
-                        "j-or-l-precondition",
-                        s.pos,
-                        "condition and its negation must both have finite rank",
-                    )
-                raise _InsufficientBudget
-            if isinstance(s, ObserveJ):
-                expansion = expand_observe_j(s.strength, s.cond, pos=s.pos)
-            else:
-                expansion = expand_observe_l(s.strength, s.cond, pos=s.pos)
-            return _denote(expansion, p, ctx)
+            return _observe_graded(s, p, ctx)
 
     except RecursionError:
         # an expression or a nesting of blocks deeper than Python's recursion

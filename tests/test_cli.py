@@ -282,6 +282,24 @@ class TestRun:
         assert (code, out) == (4, "")
         assert err.startswith("input error: ")
 
+    @pytest.mark.parametrize(
+        "name, define",
+        [("é", "a=é"), ("x[0]", "a=2"), ("5", "a=2")],
+        ids=["non-ascii", "indexed", "digits"],
+    )
+    def test_enum_name_no_value_can_read_is_an_input_error(
+        self, tmp_path, monkeypatch, name, define
+    ):
+        # values read names as [A-Za-z_][A-Za-z0-9_]*, so an enum under any
+        # other name could never be used, whether or not a define names it
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.rpl").write_text("x := a;\n")
+        code, out, err = run_cli(
+            ["run", "a.rpl", "--enum", f"{name}=1", "--define", define]
+        )
+        assert (code, out) == (4, "")
+        assert err == f"input error: {name!r} is not an enum name\n"
+
     def test_projection_sorts_the_lines_of_each_rank(self, tmp_path):
         # outcomes arrive in valuation order, a = 1 first; projected on x,
         # the four rank-0 states collapse to two lines that must be re-sorted

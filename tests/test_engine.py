@@ -30,6 +30,7 @@ from rankpl.ranking import (
     INF,
     Ranking,
     Valuation,
+    j_condition,
     l_condition,
     min_merge,
     normalize,
@@ -277,10 +278,11 @@ class TestParsedTreeRunsDirectly:
         reference = oracle_ranking(program)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("desugar called on the run path")
+            raise AssertionError("a lowering called on the run path")
 
         for module in (rankpl.syntax, rankpl.engine):
-            monkeypatch.setattr(module, "desugar", refuse)
+            for name in ("desugar", "expand_observe_j", "expand_observe_l"):
+                monkeypatch.setattr(module, name, refuse)
         assert run_program(program) == reference
         assert collect(enumerate_outcomes(program)) == reference
         assert run_program(program, SearchOptions(max_rank=1)) == Ranking(
@@ -321,18 +323,24 @@ class TestLeftNestedSequences:
         assert oracle_ranking(left) == Ranking({Valuation({"x": 2999}): 0})
 
 
+def record_budgets(monkeypatch) -> list:
+    """The budgets of the deepening rounds that run from now on, in order."""
+    budgets = []
+    make_round = rankpl.engine._Round
+
+    def counting(budget, iteration_limit):
+        budgets.append(budget)
+        return make_round(budget, iteration_limit)
+
+    monkeypatch.setattr(rankpl.engine, "_Round", counting)
+    return budgets
+
+
 class TestBudgets:
     def test_bounded_loop_deepens_in_few_rounds(self, monkeypatch):
         # the least pruned rank is one above each budget, so budgets that grew
         # by one would take 301 rounds to reach rank 300; doubling takes 10
-        budgets = []
-        make_round = rankpl.engine._Round
-
-        def counting(budget, iteration_limit):
-            budgets.append(budget)
-            return make_round(budget, iteration_limit)
-
-        monkeypatch.setattr(rankpl.engine, "_Round", counting)
+        budgets = record_budgets(monkeypatch)
         program = parse_program(
             "x := 0; while x < 1 do { either { x := 1; } or (1) { skip; }; };"
         )
@@ -340,6 +348,52 @@ class TestBudgets:
         assert got == [Outcome(Valuation({"x": 1}), 0)]
         assert len(budgets) <= 10
         assert budgets[:4] == [0, 1, 3, 7]
+
+    @pytest.mark.parametrize(
+        "k, moves, north, south, rounds, out",
+        [
+            (2, "E,E", "1,1", "2,1", [0, 1], "rank 0: x=6, y=4\n"),
+            (
+                8,
+                "E,E,S,E,S,S,W,N",
+                "1,0,1,1,2,3,3,2",
+                "3,3,2,2,1,0,0,1",
+                [0, 1, 3, 7],
+                "rank 0: x=2, y=4\n",
+            ),
+        ],
+        ids=["k2", "k8"],
+    )
+    def test_localization_deepens_in_pinned_rounds(
+        self, monkeypatch, programs, k, moves, north, south, rounds, out
+    ):
+        # observeL deepens where its condition or its negation has no visible
+        # state; the rounds depend on the walk, and these are pinned
+        budgets = record_budgets(monkeypatch)
+        code, got, err = run_cli(
+            [
+                "run",
+                str(programs / "localization.rpl"),
+                "--input",
+                str(programs / "localization_map.input"),
+                "--enum",
+                "N=0,E=1,S=2,W=3",
+                "--define",
+                f"k={k}",
+                "--define",
+                f"mv=[{moves}]",
+                "--define",
+                f"ns=[{north}]",
+                "--define",
+                f"ss=[{south}]",
+                "--project",
+                "x,y",
+                "--max-rank",
+                "0",
+            ]
+        )
+        assert (code, got, err) == (0, out, "")
+        assert budgets == rounds
 
 
 def run_counted(monkeypatch, interpreter, source):
@@ -392,13 +446,91 @@ class TestRankOfOncePerRanking:
 
     @pytest.mark.parametrize("interpreter", ["run_program", "enumerate_outcomes"])
     def test_observe_l(self, monkeypatch, interpreter):
-        # the expansion reads rank(b) in a guard and in a choice offset, and
-        # its observations and precondition test the condition per state
+        # one pass tests the condition per state and serves the precondition,
+        # every split of b from !b and every rank(b); the guard rank(b) <= 2
+        # then compares once per state
         result, calls = run_counted(
             monkeypatch, interpreter, "x := any_of(0 .. 199); observeL(2, x > 196);"
         )
         assert result == l_condition(self.PRIOR, self.EVENT, 2)
-        assert calls < 10 * self.N
+        assert calls < 3 * self.N
+
+    @pytest.mark.parametrize("interpreter", ["run_program", "enumerate_outcomes"])
+    def test_observe_j(self, monkeypatch, interpreter):
+        result, calls = run_counted(
+            monkeypatch, interpreter, "x := any_of(0 .. 199); observeJ(2, x > 196);"
+        )
+        assert result == j_condition(self.PRIOR, self.EVENT, 2)
+        assert calls < 3 * self.N
+
+
+class TestGradedObservations:
+    """observeJ/observeL run natively as the steps of their lowering.  The
+    oracle runs that lowering (through ``desugar``), so it is the reference:
+    these programs read the condition and the strength where the lowering's
+    steps differ from one another, which ``_observe_graded`` in the
+    generators never does."""
+
+    SOURCES = {
+        # p is 1 on the rank-0 states and 3 on the rank-1 ones
+        "strength-per-state-j": "x := any_of(0 .. 3); "
+        "either { p := 1; } or (1) { p := 3; }; observeJ(p, x < 2);",
+        "strength-per-state-l": "x := any_of(0 .. 3); "
+        "either { p := 1; } or (1) { p := 3; }; observeL(p, x < 2);",
+        # read against the prior, and by observeL's offsets against a slice
+        "rank-in-strength-j": "x := any_of(0 .. 3); "
+        "either { skip; } or (1) { x := x + 4; }; "
+        "observeJ(rank(x > 5) + 1, x == 1 || x == 6);",
+        # the guard reads rank(q == 0) = 0 in the prior, the offsets read
+        # inf in the taken slice, where q = 1
+        "rank-in-strength-l": "x := any_of(0 .. 3); "
+        "either { p := 0; } or (1) { p := 3; q := 1; }; "
+        "observeL(p + rank(q == 0), x == 0 && p == 3);",
+        # rank(y == 1) is 1 in the prior and 0 in the slice of the y = 1
+        # states, where the whole condition holds
+        "rank-in-condition-j": "x := any_of(0 .. 2); y := 0 or(1) 1; "
+        "observeJ(y + 1, x == 0 || y == 1 && rank(y == 1) == 0);",
+        "rank-in-condition-l": "x := any_of(0 .. 2); y := 0 or(1) 1; "
+        "either { p := 0; } or (1) { p := 2; }; "
+        "observeL(p, x == 0 && p == 2 || y == 1 && rank(y == 1) == 0);",
+        # rank(b) = 1 > p on the p = 0 states: the flipped slice holds no b
+        "guard-split-l": "x := any_of(0 .. 3); "
+        "either { p := 0; } or (1) { p := 2; }; observeL(p, x < 2 && p == 2);",
+        # the taken slice holds no b-state, so n - rank(b) subtracts inf
+        "guard-split-no-b-l": "either { x := any_of(1 .. 2); } or (1) { x := 0; }; "
+        "observeL(x, x == 0);",
+        "strength-error-j": "x := any_of(0 .. 2); observeJ(2 / x, x == 0);",
+        # rank(b) = 2: the x < 2 states take the flipped slice
+        "strength-per-state-flipped-l": "x := any_of(0 .. 2); y := 0 or(2) 1; "
+        "observeL(x, y == 1);",
+    }
+
+    @staticmethod
+    def outcome(run):
+        """The ranking a run returns, or the kind and position of its error."""
+        try:
+            return run()
+        except EvalError as err:
+            return err.kind, err.pos
+
+    @pytest.mark.parametrize("source", SOURCES.values(), ids=SOURCES.keys())
+    def test_runs_as_the_lowering(self, source):
+        program = parse_program(source)
+        lowered = rankpl.syntax.desugar(program)
+        exact = self.outcome(lambda: run_program(lowered))
+        if not isinstance(exact, tuple):
+            exact = oracle_ranking(program)
+        assert self.outcome(lambda: run_program(program)) == exact
+        for cap in (0, 1, 2):
+
+            def sliced(program, cap=cap):
+                stream = enumerate_outcomes(program, SearchOptions(max_rank=cap))
+                return {o.valuation: o.rank for o in stream}
+
+            expected = self.outcome(lambda: sliced(lowered))
+            if not isinstance(expected, tuple):
+                expected = {v: r for v, r in exact.items() if r <= cap}
+            assert self.outcome(lambda: sliced(program)) == expected
 
 
 class TestBoundedDenote:
@@ -496,6 +628,20 @@ ERROR_PROGRAMS = {
     "j-or-l-precondition": "x := 0 or(1) 1;\nobserveJ(1, x == 5);",
     "nested-too-deeply": "x := 0 or(1) 1;\ny := " + " + ".join(["x"] * 1200) + ";",
 }
+
+
+def test_rank_overflow_needs_a_lifted_state():
+    # x = 1 sits at rank BIG and takes the penalty BIG: its slice is lifted
+    # past the rank limit, an error only when a state comes out of it
+    big = 9223372036854775000
+    prefix = f"x := 0 or({big}) 1; either {{ skip; }} or (x * {big}) "
+    kept = parse_program(prefix + "{ x := 3; };")
+    with pytest.raises(EvalError) as err:
+        run_program(kept)
+    assert err.value.kind == "undefined-infinity-arith"
+    assert err.value.detail == "rank overflow"
+    emptied = parse_program(prefix + "{ observe x == 5; };")
+    assert run_program(emptied) == Ranking({Valuation(): 0, Valuation({"x": 1}): big})
 
 
 def test_a_long_condition_is_nested_too_deeply():
