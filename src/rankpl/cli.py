@@ -65,11 +65,20 @@ def _tokenize_value(text: str) -> list[str]:
     return tokens
 
 
+def _integer(text: str) -> int:
+    """``text``, a signed run of ASCII digits, as an int; ``int()`` refuses
+    more digits than ``sys.get_int_max_str_digits()``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"integer too long ({len(text)} characters)") from None
+
+
 def _scalar(token: str, enums: dict) -> int:
     if token in ("]", ","):
         raise InputError(f"unexpected {token!r}")
     if re.fullmatch(r"-?[0-9]+", token):
-        return int(token)
+        return _integer(token)
     if token in enums:
         return enums[token]
     raise InputError(f"unknown token {token!r} (missing --enum mapping?)")
@@ -222,7 +231,7 @@ def cmd_run(args, out, err) -> int:
                 name, _, number = piece.partition("=")
                 if not name.strip() or not re.fullmatch(r"-?[0-9]+", number.strip()):
                     raise InputError(f"bad --enum entry {piece!r}")
-                enums[_enum_name(name)] = int(number.strip())
+                enums[_enum_name(name)] = _integer(number.strip())
         defines = {}
         for path in args.input:
             defines.update(parse_input_file(_read(path), enums))

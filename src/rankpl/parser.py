@@ -14,11 +14,16 @@ Operator precedence, tightest first: ``*`` ``/`` ``%``; ``+`` ``-``; ``xor``
 ``band`` ``bor``; comparisons; ``!``; ``&&``; ``||``.  Conditions and numbers
 are read by one precedence-climbing routine; ``!`` takes one operand at
 comparison strength, so ``!x < 1`` is ``!(x < 1)``.
+
+The lexer reads each line with one ``findall`` into two flat lists, token
+texts and ``(line, column)`` positions; the parser reads those, and each
+node takes its position tuple as it is.  Only ``tokenize`` builds tokens.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
 from .ranking import INF
@@ -48,42 +53,17 @@ from .syntax import (
 )
 
 KEYWORDS = frozenset(
-    {
-        "skip",
-        "observe",
-        "observeJ",
-        "observeL",
-        "if",
-        "then",
-        "else",
-        "while",
-        "do",
-        "either",
-        "or",
-        "rank",
-        "inf",
-        "any_of",
-        "xor",
-        "band",
-        "bor",
-    }
+    "skip observe observeJ observeL if then else while do either or rank inf"
+    " any_of xor band bor".split()
 )
 
-#: One match skips spaces, tabs, ``\r`` and a ``//`` comment, then reads a
-#: newline (group 1) or one token: 2 symbol, 3 integer, 4 name with an ASCII
-#: first character, 5 any other name.  Group 5 also takes a non-decimal digit
-#: such as ``²`` as a first character, which ``tokenize`` rejects: a name
-#: starts with a letter or ``_`` (``str.isalpha``) and goes on with letters,
-#: digits or ``_`` (``str.isalnum``).  No group matches at the end of the
-#: input or at a character that starts no token.  The token group is
-#: optional, so a match never backtracks into the blanks it skipped.
-_TOKEN = re.compile(
-    r"[ \t\r]*(?://[^\n]*)?"
-    r"(?:(\n)|(:=|==|!=|<=|>=|&&|\|\||\.\.|[-+*/%<>!(){}\[\];,])"
-    r"|([0-9]+)|([A-Za-z_]\w*)|([^\W\d]\w*))?"
+#: One (blanks, token) pair: spaces, tabs and ``\r``, then a symbol, an
+#: integer or a name.  A name starts with a letter or ``_`` (``str.isalpha``)
+#: and goes on with letters, digits or ``_`` (``str.isalnum``); ``[^\W\d]``
+#: also starts one with a non-decimal digit such as ``²``, which is an error.
+_PAIR = re.compile(
+    r"([ \t\r]*)(:=|==|!=|<=|>=|&&|\|\||\.\.|[-+*/%<>!(){}\[\];,]|[0-9]+|[^\W\d]\w*)"
 )
-_GROUP_KIND = (None, None, "symbol", "integer", "identifier", "identifier")
-_KEYWORD_KIND = dict.fromkeys(KEYWORDS, "keyword")
 
 
 class Token(NamedTuple):
@@ -101,50 +81,77 @@ class ParseError(Exception):
         self.column = column
 
 
+def _lex(source: str) -> tuple[list[str], list[tuple[int, int]]]:
+    """The token texts of ``source`` and the ``(line, column)`` of each,
+    ending with the end of input's text ``""`` just past the last character.
+
+    Each line, split on ``"\\n"`` alone and cut at its first ``//``, is read
+    by one ``findall`` of ``_PAIR``; columns are running sums of the pairs'
+    lengths.  ``findall`` skips characters that start no token, so the pairs
+    must cover the line up to its trailing blanks, and ``_check_line`` also
+    reads each non-ASCII line, where a name may start with a non-letter.
+    """
+    texts, where = [], []
+    findall = _PAIR.findall
+    for number, line in enumerate(source.split("\n"), 1):
+        body = line.split("//", 1)[0]
+        pairs = findall(body)
+        columns = list(accumulate(map(len, chain.from_iterable(pairs)), initial=1))
+        texts += [text for _, text in pairs]
+        where += zip(repeat(number), columns[1::2])
+        if columns[-1] <= len(body.rstrip(" \t\r")) or not body.isascii():
+            _check_line(body, number)
+    texts.append("")
+    where.append((number, len(line) + 1))
+    return texts, where
+
+
+def _check_line(body: str, number: int):
+    """Raise ``ParseError`` at the first character of ``body``, line
+    ``number``, that starts no token, if there is one."""
+    pos = 0
+    for match in _PAIR.finditer(body):
+        first = match[2][0]
+        if match.start() != pos or not (first.isalpha() or first.isascii()):
+            break
+        pos = match.end()
+    pos = len(body) - len(body[pos:].lstrip(" \t\r"))
+    if pos == len(body):
+        return
+    ch = body[pos]
+    message = {
+        "=": "'=' is not an operator (use '==' or ':=')",
+        ":": "':' is not an operator (use ':=')",
+    }.get(ch, f"unexpected character {ch!r}")
+    raise ParseError(message, number, pos + 1)
+
+
+_DIGITS = frozenset("0123456789")
+#: first characters of integers, symbols and the end of input, never of names
+_NOT_NAME_STARTS = _DIGITS | frozenset(":=!<>&|.-+*/%(){}[];,") | {""}
+
+
+def _is_name(text: str) -> bool:
+    """Whether ``text``, a token's text, is an identifier."""
+    return text[:1] not in _NOT_NAME_STARTS and text not in KEYWORDS
+
+
 def tokenize(source: str) -> list[Token]:
     """Split ``source`` into tokens, ending with one ``eof`` token.
 
-    One compiled pattern is matched at each position; it skips blanks and
-    a comment and reads the next token or newline in the same match.  Lines
-    and columns count from 1, and a column is the offset from the start of
-    its line plus one, so a tab or carriage return counts as one character.
-    Integer literals are ASCII digits only.  The ``eof`` token sits just past
-    the last character, also when that character ends a ``//`` comment.
-    Raises ``ParseError`` at the first character that starts no token.
+    Lines and columns count from 1; a column is the offset in its line plus
+    one, so a tab or ``\\r`` counts as one character, and only ``"\\n"`` ends
+    a line.  Integer literals are ASCII digits only.  The ``eof`` token sits
+    just past the last character, also after a ``//`` comment.  Raises
+    ``ParseError`` at the first character that starts no token.
     """
-    tokens = []
-    append = tokens.append
-    match = _TOKEN.match
-    new = tuple.__new__  # builds a Token without the Python-level __new__ call
-    pos = line_start = 0
-    line = 1
-    while True:
-        m = match(source, pos)
-        group = m.lastindex
-        if group is None:
-            pos = m.end()
-            break
-        start, pos = m.span(group)
-        if group == 1:
-            line += 1
-            line_start = pos
-            continue
-        text = source[start:pos]
-        if group == 5 and not text[0].isalpha():
-            pos = start
-            break
-        kind = _KEYWORD_KIND.get(text, _GROUP_KIND[group])
-        append(new(Token, (kind, text, line, start - line_start + 1)))
-    column = pos - line_start + 1
-    if pos == len(source):
-        append(Token("eof", "", line, column))
-        return tokens
-    ch = source[pos]
-    if ch == "=":
-        raise ParseError("'=' is not an operator (use '==' or ':=')", line, column)
-    if ch == ":":
-        raise ParseError("':' is not an operator (use ':=')", line, column)
-    raise ParseError(f"unexpected character {ch!r}", line, column)
+    texts, where = _lex(source)
+    kinds = (
+        "keyword" if text in KEYWORDS else "identifier" if _is_name(text)
+        else "integer" if text[:1] in _DIGITS else "symbol" if text else "eof"
+        for text in texts
+    )
+    return list(map(Token, kinds, texts, *zip(*where)))
 
 
 #: how tightly each binary operator binds: 1 and 2 join conditions, 3
@@ -157,31 +164,22 @@ _BINDING_POWER = {
     )
     for op in ops.split()
 }
+_TOO_LONG = "integer literal too long"
 _TOP_LEVEL = ("",)  # a sequence ends at eof, whose text is empty ...
 _IN_BLOCK = ("", "}")  # ... or, inside a block, at its '}'
 
 
 class _Parser:
-    """Recursive descent over the token list, with precedence climbing
-    for expressions.
+    """Recursive descent over the token texts, with precedence climbing
+    for expressions.  Texts alone decide: a symbol or keyword never equals
+    another kind's text, and a first character tells identifiers and
+    integers apart."""
 
-    Token texts alone decide: a symbol or keyword text never equals an
-    identifier, integer or eof text, so no check needs a token's kind
-    except where identifiers and integers are told apart.
-    """
-
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.texts = [tok.text for tok in tokens]
+    def __init__(self, source: str):
+        self.texts, self.where = _lex(source)
         self.pos = 0
 
     # token plumbing
-
-    def advance(self) -> Token:
-        """Consume the current token; never called at eof."""
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
 
     def at(self, text: str) -> bool:
         return self.texts[self.pos] == text
@@ -193,18 +191,16 @@ class _Parser:
         return False
 
     def expect(self, text: str):
-        if self.texts[self.pos] != text:
-            tok = self.tokens[self.pos]
+        found = self.texts[self.pos]
+        if found != text:
             raise ParseError(
-                f"expected '{text}', found '{tok.text or 'end of input'}'",
-                tok.line,
-                tok.column,
+                f"expected '{text}', found '{found or 'end of input'}'",
+                *self.where[self.pos],
             )
         self.pos += 1
 
     def fail(self, message: str):
-        tok = self.tokens[self.pos]
-        raise ParseError(message, tok.line, tok.column)
+        raise ParseError(message, *self.where[self.pos])
 
     # statements
 
@@ -214,19 +210,17 @@ class _Parser:
     def sequence(self, stop: tuple) -> Stmt:
         """Statements up to a text in ``stop``; a '}' at top level is an
         error, not the end."""
-        tokens, texts = self.tokens, self.texts
+        texts = self.texts
         statements = []
-        while texts[self.pos] not in stop:
-            tok = tokens[self.pos]
-            parse = _STATEMENTS.get(tok.text)
+        while (text := texts[self.pos]) not in stop:
+            parse = _STATEMENTS.get(text)
             if parse is None:
-                if tok.kind != "identifier":
-                    self.fail(f"expected a statement, found '{tok.text}'")
+                if not _is_name(text):
+                    self.fail(f"expected a statement, found '{text}'")
                 parse = _Parser.assignment
-            statements.append(parse(self, tok, stop))
+            statements.append(parse(self, self.pos, stop))
         if not statements:
-            tok = tokens[self.pos]
-            return Skip(pos=(tok.line, tok.column))
+            return Skip(pos=self.where[self.pos])
         result = statements[-1]
         for stmt in reversed(statements[:-1]):
             result = Seq(stmt, result, pos=stmt.pos)
@@ -238,26 +232,26 @@ class _Parser:
         self.expect("}")
         return body
 
-    # Each statement parser takes the statement's first token, not yet
-    # consumed, and the texts that may end the enclosing sequence.
+    # Each statement parser takes the index of the statement's first token,
+    # not yet consumed, and the texts that may end the enclosing sequence.
 
-    def block_statement(self, tok, stop) -> Stmt:
+    def block_statement(self, start, stop) -> Stmt:
         body = self.block()
         self.accept(";")
         return body
 
-    def skip_statement(self, tok, stop) -> Stmt:
+    def skip_statement(self, start, stop) -> Stmt:
         self.pos += 1
         self.terminator(stop)
-        return Skip(pos=(tok.line, tok.column))
+        return Skip(pos=self.where[start])
 
-    def observe_statement(self, tok, stop) -> Stmt:
+    def observe_statement(self, start, stop) -> Stmt:
         self.pos += 1
         cond = self.condition()
         self.terminator(stop)
-        return Observe(cond, pos=(tok.line, tok.column))
+        return Observe(cond, pos=self.where[start])
 
-    def observe_jl_statement(self, tok, stop) -> Stmt:
+    def observe_jl_statement(self, start, stop) -> Stmt:
         self.pos += 1
         self.expect("(")
         strength = self.number()
@@ -265,34 +259,34 @@ class _Parser:
         cond = self.condition()
         self.expect(")")
         self.terminator(stop)
-        node = ObserveJ if tok.text == "observeJ" else ObserveL
-        return node(strength, cond, pos=(tok.line, tok.column))
+        node = ObserveJ if self.texts[start] == "observeJ" else ObserveL
+        return node(strength, cond, pos=self.where[start])
 
-    def if_statement(self, tok, stop) -> Stmt:
+    def if_statement(self, start, stop) -> Stmt:
         self.pos += 1
         cond = self.condition()
         self.expect("then")
         then_branch = self.block()
-        where = (tok.line, tok.column)
+        where = self.where[start]
         if not self.accept("else"):
             self.accept(";")
             else_branch = Skip(pos=where)
         elif self.at("if"):
-            else_branch = self.if_statement(self.tokens[self.pos], stop)
+            else_branch = self.if_statement(self.pos, stop)
         else:
             else_branch = self.block()
             self.accept(";")
         return IfThenElse(cond, then_branch, else_branch, pos=where)
 
-    def while_statement(self, tok, stop) -> Stmt:
+    def while_statement(self, start, stop) -> Stmt:
         self.pos += 1
         cond = self.condition()
         self.expect("do")
         body = self.block()
         self.accept(";")
-        return While(cond, body, pos=(tok.line, tok.column))
+        return While(cond, body, pos=self.where[start])
 
-    def either_statement(self, tok, stop) -> Stmt:
+    def either_statement(self, start, stop) -> Stmt:
         self.pos += 1
         first = self.block()
         self.expect("or")
@@ -301,7 +295,7 @@ class _Parser:
         self.expect(")")
         second = self.block()
         self.accept(";")
-        return RankedChoice(first, rank, second, pos=(tok.line, tok.column))
+        return RankedChoice(first, rank, second, pos=self.where[start])
 
     def terminator(self, stop):
         text = self.texts[self.pos]
@@ -310,16 +304,18 @@ class _Parser:
         elif text not in stop:
             self.fail("expected ';'")
 
-    def assignment(self, name_tok, stop) -> Stmt:
+    def assignment(self, start, stop) -> Stmt:
         self.pos += 1
-        where = (name_tok.line, name_tok.column)
+        name, where = self.texts[start], self.where[start]
         indices = []
         while self.accept("["):
             indices.append(self.number())
             self.expect("]")
+        indices = tuple(indices)
         self.expect(":=")
         if self.at("any_of"):
-            any_of = self.advance()
+            any_of = self.where[self.pos]
+            self.pos += 1
             self.expect("(")
             lower = self.int_literal()
             self.expect("..")
@@ -327,11 +323,9 @@ class _Parser:
             self.expect(")")
             self.terminator(stop)
             try:
-                return UniformPick(
-                    name_tok.text, tuple(indices), lower, upper, pos=where
-                )
+                return UniformPick(name, indices, lower, upper, pos=where)
             except DesugarError as exc:
-                raise ParseError(str(exc), any_of.line, any_of.column) from None
+                raise ParseError(str(exc), *any_of) from None
         value = self.number()
         if self.accept("or"):
             self.expect("(")
@@ -339,7 +333,6 @@ class _Parser:
             self.expect(")")
             second = self.number()
             self.terminator(stop)
-            name, indices = name_tok.text, tuple(indices)
             return RankedChoice(
                 Assign(name, indices, value, pos=where),
                 rank,
@@ -347,16 +340,19 @@ class _Parser:
                 pos=where,
             )
         self.terminator(stop)
-        return Assign(name_tok.text, tuple(indices), value, pos=where)
+        return Assign(name, indices, value, pos=where)
 
     def int_literal(self) -> int:
         """An ``any_of`` bound: an integer with an optional ``-``."""
         sign = -1 if self.accept("-") else 1
-        tok = self.tokens[self.pos]
-        if tok.kind != "integer":
+        text = self.texts[self.pos]
+        if text[:1] not in _DIGITS:
             self.fail("expected an integer literal")
         self.pos += 1
-        return sign * int(tok.text)
+        try:
+            return sign * int(text)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(_TOO_LONG, *self.where[self.pos - 1]) from None
 
     # expressions
 
@@ -383,53 +379,57 @@ class _Parser:
         operands, and the node built tells a condition from a number.  A
         parenthesized expression is read right here, so each level of
         parentheses costs one frame."""
-        tok = self.tokens[self.pos]
-        text = tok.text
+        texts, where = self.texts, self.where
+        text = texts[self.pos]
         if text == "(":
             self.pos += 1
             left = self.expression(1)
             self.expect(")")
         elif text == "!":
             # one operand at comparison strength: !x < 1 is !(x < 1)
+            at = where[self.pos]
             self.pos += 1
             operand = self.checked(self.expression(3), BoolExpr)
-            left = Not(operand, pos=(tok.line, tok.column))
+            left = Not(operand, pos=at)
         else:
-            left = self.atom(tok)
-        texts = self.texts
+            left = self.atom()
         while True:
-            power = _BINDING_POWER.get(texts[self.pos], 0)
+            op = texts[self.pos]
+            power = _BINDING_POWER.get(op, 0)
             if power < min_power:
                 return left
             operands = NumExpr if power > 2 else BoolExpr
             self.checked(left, operands)
-            tok = self.advance()
-            right = self.checked(self.expression(power + 1), operands)
-            where = (tok.line, tok.column)
-            op = tok.text
-            if power > 3:
-                left = BinOp(op, left, right, pos=where)
-            elif power == 3:
-                left = _comparison(op, left, right, where)
-            elif op == "&&":
-                left = And(left, right, pos=where)
-            else:
-                left = Or(left, right, pos=where)
-
-    def atom(self, tok) -> NumExpr:
-        where = (tok.line, tok.column)
-        kind = tok.kind
-        if kind == "integer":
+            at = where[self.pos]
             self.pos += 1
-            return IntLit(int(tok.text), pos=where)
-        if kind == "identifier":
+            right = self.checked(self.expression(power + 1), operands)
+            if power > 3:
+                left = BinOp(op, left, right, pos=at)
+            elif power == 3:
+                left = _comparison(op, left, right, at)
+            elif op == "&&":
+                left = And(left, right, pos=at)
+            else:
+                left = Or(left, right, pos=at)
+
+    def atom(self) -> NumExpr:
+        # no call, not even of a str method, before the token is consumed:
+        # each would move the token that "program nested too deeply" names
+        text, where = self.texts[self.pos], self.where[self.pos]
+        first = text[:1]
+        if first in _DIGITS:
+            self.pos += 1
+            try:
+                return IntLit(int(text), pos=where)
+            except ValueError:  # more digits than int() converts
+                raise ParseError(_TOO_LONG, *where) from None
+        if first not in _NOT_NAME_STARTS and text not in KEYWORDS:
             self.pos += 1
             indices = []
             while self.accept("["):
                 indices.append(self.number())
                 self.expect("]")
-            return Var(tok.text, tuple(indices), pos=where)
-        text = tok.text
+            return Var(text, tuple(indices), pos=where)
         if text == "inf":
             self.pos += 1
             return IntLit(INF, pos=where)
@@ -468,7 +468,7 @@ _STATEMENTS = {
 def parse_program(source: str) -> Stmt:
     """Parse a whole program into one statement tree.
 
-    The source is split by ``tokenize`` first.  Sequences come out
+    The source is split by ``_lex`` first.  Sequences come out
     right-nested.  ``if b then { s }`` comes out as ``if b then { s } else
     { skip }`` and ``x := e1 or(e) e2`` as a ranked choice between two
     assignments, both at the statement's position; ``any_of`` and
@@ -476,12 +476,12 @@ def parse_program(source: str) -> Stmt:
     as they are.
     An empty program is accepted and behaves like ``skip``.  Raises
     ``ParseError`` on a syntax error, at the ``any_of`` token on an empty
-    range, and ``ParseError("program nested too deeply")`` at the token
-    being read when the nesting exhausts Python's recursion limit.
+    range, at an integer literal too long for ``int()``, and
+    ``ParseError("program nested too deeply")`` at the token being read
+    when the nesting exhausts Python's recursion limit.
     """
-    parser = _Parser(tokenize(source))
+    parser = _Parser(source)
     try:
         return parser.program()
     except RecursionError:
-        tok = parser.tokens[parser.pos]
-        raise ParseError("program nested too deeply", tok.line, tok.column) from None
+        raise ParseError("program nested too deeply", *parser.where[parser.pos]) from None

@@ -68,6 +68,14 @@ def o_num(sigma, states, e, ranks):
             return a & b
         if e.op == "bor":
             return a | b
+        if e.op in ("/", "%"):
+            assert b != 0, "oracle: division by zero"
+            # floor division, moved up by one where it rounded a negative
+            # inexact quotient down: truncation toward zero
+            q = a // b
+            if q < 0 and q * b != a:
+                q += 1
+            return q if e.op == "/" else a - q * b
         raise AssertionError(f"oracle: unsupported operator {e.op}")
     raise AssertionError(f"oracle: unsupported expression {e!r}")
 

@@ -1,9 +1,17 @@
 import json
+import sys
 
 import pytest
 
 import rankpl.cli
 from conftest import LOCALIZATION_ARGS, run_cli
+
+
+#: the most digits int() converts (sys.get_int_max_str_digits)
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_int_limited = pytest.mark.skipif(
+    not _MAX_DIGITS, reason="int() converts integers of any length"
+)
 
 
 class TestRun:
@@ -183,6 +191,57 @@ class TestRun:
             ["run", str(path), "--define", f"a={array}", "--project", "x"]
         )
         assert (code, out, err) == (0, "rank 0: x=1999\n", "")
+
+    @_int_limited
+    def test_integers_of_the_longest_length_int_converts_run(self, tmp_path):
+        digits = "9" * _MAX_DIGITS
+        path = tmp_path / "long.rpl"
+        path.write_text(f"x := {digits}; y := a;\n")
+        code, out, err = run_cli(
+            ["run", str(path), "--define", f"a=-{digits}", "--project", "x,y"]
+        )
+        assert (code, out, err) == (0, f"rank 0: x={digits}, y=-{digits}\n", "")
+
+    @_int_limited
+    @pytest.mark.parametrize(
+        "command, source, column",
+        [
+            ("run", "x := 1 + {};", 10),
+            ("check", "x := 1 + {};", 10),
+            ("run", "x := any_of(0 .. {});", 18),
+        ],
+        ids=["run", "check", "any_of"],
+    )
+    def test_too_long_integer_literal_is_a_parse_error(
+        self, tmp_path, command, source, column
+    ):
+        path = tmp_path / "long.rpl"
+        path.write_text(source.format("9" * (_MAX_DIGITS + 1)) + "\n")
+        code, out, err = run_cli([command, str(path)])
+        assert (code, out) == (2, "")
+        assert err.endswith(f"line 1, column {column}: integer literal too long\n")
+
+    @_int_limited
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["--define", "a={}"],
+            ["--input", "long.input"],
+            ["--enum", "E={}", "--define", "a=E"],
+        ],
+        ids=["define", "input", "enum"],
+    )
+    def test_too_long_integer_value_is_an_input_error(
+        self, tmp_path, monkeypatch, options
+    ):
+        digits = "9" * (_MAX_DIGITS + 1)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.rpl").write_text("x := a;\n")
+        (tmp_path / "long.input").write_text(f"a = [1, -{digits}]\n")
+        options = [option.format(digits) for option in options]
+        code, out, err = run_cli(["run", "a.rpl", *options])
+        assert (code, out) == (4, "")
+        assert err.startswith("input error: integer too long")
 
     def test_missing_file(self, tmp_path):
         code, _, err = run_cli(["run", str(tmp_path / "absent.rpl")])

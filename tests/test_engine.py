@@ -141,7 +141,24 @@ ORACLE_ABORTS = {
     "negative choice rank": "negative-choice-rank",
     "undefined inf arithmetic": "undefined-infinity-arith",
     "storing inf": "undefined-infinity-arith",
+    "division by zero": "division-by-zero",
 }
+
+
+def _oracle_or_abort(program):
+    """The oracle's ranking, or the engine's error kind for its abort."""
+    try:
+        return oracle_ranking(program)
+    except AssertionError as exc:
+        [kind] = [kind for text, kind in ORACLE_ABORTS.items() if text in str(exc)]
+        return kind
+
+
+def _engine_or_error(run, program):
+    try:
+        return run(program)
+    except EvalError as exc:
+        return exc.kind
 
 
 class TestOracleEquivalence:
@@ -229,21 +246,32 @@ class TestOracleEquivalence:
         for generate in (random_sugar_program, random_loop_program):
             for _ in range(150):
                 program = with_runtime_error(rng, generate(rng))
-                try:
-                    expected = oracle_ranking(program)
-                except AssertionError as exc:
-                    [expected] = [
-                        kind
-                        for text, kind in ORACLE_ABORTS.items()
-                        if text in str(exc)
-                    ]
-                try:
-                    got = run_program(program)
-                except EvalError as exc:
-                    got = exc.kind
-                    raised += 1
-                assert got == expected
+                got = _engine_or_error(run_program, program)
+                raised += isinstance(got, str)
+                assert got == _oracle_or_abort(program)
         assert 0 < raised < 300
+
+    def test_division_and_modulo_match_reference(self):
+        # '/' and '%' truncate toward zero on every sign of either operand;
+        # a zero divisor in any state, or an inf operand, aborts the oracle
+        # exactly where the engine raises
+        results = []
+        for op in ("/", "%"):
+            for divisors in ("-3 .. -1", "1 .. 3", "-3 .. 3", "0 .. 0"):
+                for value in (f"n {op} d", f"d {op} n", f"n {op} inf", f"inf {op} d"):
+                    program = parse_program(
+                        f"n := any_of(-7 .. 7); d := any_of({divisors}); "
+                        f"x := {value}; observe x < 2 || n == 3;"
+                    )
+                    expected = _oracle_or_abort(program)
+                    assert _engine_or_error(run_program, program) == expected
+                    collected = _engine_or_error(
+                        lambda p: collect(enumerate_outcomes(p)), program
+                    )
+                    assert collected == expected
+                    results.append(expected)
+        kinds = {r if isinstance(r, str) else "ranking" for r in results}
+        assert kinds == {"ranking", "division-by-zero", "undefined-infinity-arith"}
 
     def test_outcomes_ascend_and_never_repeat(self):
         # the stream is where the engine orders outcomes: by rank, then by

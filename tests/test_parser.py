@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -136,6 +137,74 @@ def test_token_positions_in_scattered_sources():
         assert eof.kind == "eof"
         assert (eof.line, eof.column) == _line_and_column(source, len(source))
         assert parse_program(source) == parse_program(compact)
+
+
+#: pieces of random sources: tokens, blanks, newlines and comments, and,
+#: drawn less often, characters that start no token alone or at all
+_LEX_PIECES = (
+    "x", "é", "_", "if", "7", ":=", "==", "<", "!", "&&", "..", "/", "//", "(",
+    "}", ";", "-", " ", "\t", "\r", "\n",
+)  # fmt: skip
+_LEX_ODD = ("٣", "²", "½", "=", ":", "&", "|", ".", "\x0c", "\u00a0")
+
+
+def _starts_a_token(line: str, i: int) -> bool:
+    """Whether a token can start at ``line[i]``, by the token rules alone."""
+    ch = line[i]
+    if ch in "-+*/%<>!(){}[];," or ch in "0123456789" or ch == "_" or ch.isalpha():
+        return True
+    return line[i : i + 2] in (":=", "==", "&&", "||", "..")
+
+
+def _lengthens(token: str, ch: str) -> bool:
+    """Whether ``ch`` right after ``token`` would belong to it: the lexer
+    reads the longest token it can (and ``//`` is a comment)."""
+    if token[0].isalpha() or token[0] == "_":
+        return ch.isalnum() or ch == "_"
+    if token[0] in "0123456789":
+        return ch in "0123456789"
+    return token + ch in (":=", "==", "!=", "<=", ">=", "&&", "||", "..", "//")
+
+
+def test_lexer_reads_or_rejects_random_sources():
+    # either every token's text sits at its position, and blanking them all
+    # leaves blanks, newlines and comments, or the error names a character
+    # outside a comment that starts no token, with none before it
+    rng = random.Random(1312)
+    rejected = 0
+    for _ in range(3000):
+        source = "".join(
+            rng.choice(_LEX_ODD if rng.random() < 0.04 else _LEX_PIECES)
+            for _ in range(rng.randrange(1, 30))
+        )
+        lines = source.split("\n")
+        try:
+            tokens = tokenize(source)
+        except ParseError as err:
+            rejected += 1
+            line, column = lines[err.line - 1], err.column - 1
+            assert "//" not in line[:column] and line[column] not in " \t\r"
+            assert not _starts_a_token(line, column), (source, err)
+            offset = sum(len(before) + 1 for before in lines[: err.line - 1]) + column
+            tokenize(source[:offset])
+            continue
+        assert tokens[-1] == Token("eof", "", len(lines), len(lines[-1]) + 1)
+        blanked = [list(line) for line in lines]
+        for tok, after in zip(tokens[:-1], tokens[1:-1] + [None]):
+            start = tok.column - 1
+            end = start + len(tok.text)
+            assert lines[tok.line - 1][start:end] == tok.text, (source, tok)
+            assert _starts_a_token(lines[tok.line - 1], start), (source, tok)
+            integer = tok.text.isascii() and tok.text.isdigit()
+            assert (tok.kind == "integer") == integer, (source, tok)
+            blanked[tok.line - 1][start:end] = " " * len(tok.text)
+            if after and (after.line, after.column - 1) == (tok.line, end):
+                assert not _lengthens(tok.text, after.text[0]), (source, tok)
+        for line, row in zip(lines, blanked):
+            code, comment, _ = "".join(row).partition("//")
+            assert code.strip(" \t\r") == "", (source, row)
+            assert not comment or line[len(code) : len(code) + 2] == "//"
+    assert 0 < rejected < 3000
 
 
 class TestParseProgram:
@@ -304,6 +373,23 @@ class TestParseProgram:
         with pytest.raises(ParseError) as err:
             parse_program("if x == 1 then { skip; } else { skip; } else { skip; }")
         assert err.value.line == 1
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="int() converts integers of any length",
+    )
+    def test_integer_literal_longer_than_int_converts_is_an_error(self):
+        digits = "9" * sys.get_int_max_str_digits()
+        assert parse_program(f"x := {digits};") == Assign("x", (), IntLit(int(digits)))
+        for source, column in (
+            (f"x := 1 + {digits}9;", 10),
+            (f"x := any_of(0 .. {digits}9);", 18),
+            (f"x := any_of(-{digits}9 .. 0);", 14),
+        ):
+            with pytest.raises(ParseError) as err:
+                parse_program(source)
+            assert err.value.message == "integer literal too long"
+            assert (err.value.line, err.value.column) == (1, column)
 
     def test_keywords_are_reserved(self):
         with pytest.raises(ParseError):
