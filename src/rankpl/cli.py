@@ -45,6 +45,10 @@ class InputError(Exception):
     """Malformed --define/--enum/--input data."""
 
 
+class OutputError(Exception):
+    """An outcome that cannot be printed."""
+
+
 # -- input values ---------------------------------------------------------------
 
 
@@ -210,13 +214,18 @@ def _line_bindings(valuation, projection):
 
 
 def _emit(out, rank, valuation, projection, fmt):
-    pairs = _line_bindings(valuation, projection)
-    if fmt == "records":
-        record = {"rank": rank, "bindings": {label: v for label, v in pairs}}
-        out.write(json.dumps(record, sort_keys=True) + "\n")
-    else:
-        shown = ", ".join(f"{label}={v}" for label, v in pairs)
-        out.write(f"rank {rank}: {shown or '(all variables 0)'}\n")
+    try:
+        pairs = _line_bindings(valuation, projection)
+        if fmt == "records":
+            record = {"rank": rank, "bindings": {label: v for label, v in pairs}}
+            line = json.dumps(record, sort_keys=True)
+        else:
+            shown = ", ".join(f"{label}={v}" for label, v in pairs)
+            line = f"rank {rank}: {shown or '(all variables 0)'}"
+    except ValueError as exc:
+        # int() refuses to print more than sys.get_int_max_str_digits() digits
+        raise OutputError(f"cannot print an outcome: {exc}") from None
+    out.write(line + "\n")
 
 
 # -- commands -------------------------------------------------------------------
@@ -311,6 +320,9 @@ def cmd_run(args, out, err) -> int:
     except BudgetExhaustedError as exc:
         err.write(f"runtime error: {exc}\n")
         return EXIT_RUNTIME
+    except OutputError as exc:
+        err.write(f"output error: {exc}\n")
+        return EXIT_IO
 
 
 def cmd_check(args, out, err) -> int:

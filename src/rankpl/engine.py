@@ -246,11 +246,8 @@ def _apply_binop(op: str, a, b, pos):
 
 
 def _compare(op: str, a, b) -> bool:
-    # comparisons are total: INF orders itself against integers
-    if op == "==":
-        return a == b
-    if op == "<":
-        return a < b
+    # comparisons are total: INF orders itself against integers; ``_holds``
+    # applies ``==`` and ``<`` itself
     if op == "<=":
         return a <= b
     raise AssertionError(f"unknown comparison {op!r}")
@@ -267,21 +264,27 @@ def _indices(sigma: Valuation, partial: _Partial, exprs: tuple, pos) -> tuple:
 
 
 def _eval_num(sigma: Valuation, partial: _Partial, e: NumExpr):
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, Var):
+    # dispatch on the exact type, most frequent first; nodes are final
+    t = type(e)
+    if t is BinOp:
+        left = _eval_num(sigma, partial, e.left)
+        right = _eval_num(sigma, partial, e.right)
+        if e.op == "+":
+            return left + right
+        return _apply_binop(e.op, left, right, e.pos)
+    if t is Var:
+        if not e.indices:
+            return sigma.get(e.name)
         return sigma.get(e.name, _indices(sigma, partial, e.indices, e.pos))
-    if isinstance(e, RankOf):
+    if t is IntLit:
+        return e.value
+    if t is RankOf:
         # the value depends on the ranking alone, so scan it once per node;
         # nodes are keyed by identity, as hashing one hashes its whole tree
         value = partial.ranks.get(id(e))
         if value is None:
             value = partial.ranks[id(e)] = _rank_of(partial, e.cond)
         return value
-    if isinstance(e, BinOp):
-        left = _eval_num(sigma, partial, e.left)
-        right = _eval_num(sigma, partial, e.right)
-        return _apply_binop(e.op, left, right, e.pos)
     raise TypeError(f"not a numeric expression: {e!r}")
 
 
@@ -298,16 +301,21 @@ def _rank_of(partial: _Partial, cond: BoolExpr):
 
 
 def _holds(sigma: Valuation, partial: _Partial, b: BoolExpr) -> bool:
-    if isinstance(b, Not):
+    t = type(b)
+    if t is Cmp:
+        left = _eval_num(sigma, partial, b.left)
+        right = _eval_num(sigma, partial, b.right)
+        if b.op == "==":
+            return left == right
+        if b.op == "<":
+            return left < right
+        return _compare(b.op, left, right)
+    if t is Not:
         return not _holds(sigma, partial, b.operand)
-    if isinstance(b, Or):
-        return _holds(sigma, partial, b.left) or _holds(sigma, partial, b.right)
-    if isinstance(b, And):
+    if t is And:
         return _holds(sigma, partial, b.left) and _holds(sigma, partial, b.right)
-    if isinstance(b, Cmp):
-        return _compare(
-            b.op, _eval_num(sigma, partial, b.left), _eval_num(sigma, partial, b.right)
-        )
+    if t is Or:
+        return _holds(sigma, partial, b.left) or _holds(sigma, partial, b.right)
     raise TypeError(f"not a boolean expression: {b!r}")
 
 

@@ -5,8 +5,9 @@ loop, ranked choice, observation) plus the sugar nodes ``any_of`` and
 ``observeJ``/``observeL``.  The parser builds ``if b then { s }`` and
 ``x := e1 or(e) e2`` as the core statements they abbreviate.  The interpreter
 runs the sugar as it comes; :func:`desugar` is the reference lowering onto
-the core forms.  Trees are immutable; source positions ride along for error
-reporting but never take part in equality.
+the core forms.  Nodes are slotted dataclasses, cheap to build, that the
+library never mutates once built; source positions ride along for error
+reporting but take part in neither equality nor hashing.
 """
 
 from __future__ import annotations
@@ -32,26 +33,26 @@ class BoolExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IntLit(NumExpr):
     value: "int | _Infinity"
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Var(NumExpr):
     name: str
     indices: tuple = ()
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RankOf(NumExpr):
     cond: BoolExpr
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BinOp(NumExpr):
     op: str
     left: NumExpr
@@ -59,27 +60,27 @@ class BinOp(NumExpr):
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Not(BoolExpr):
     operand: BoolExpr
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Or(BoolExpr):
     left: BoolExpr
     right: BoolExpr
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class And(BoolExpr):
     left: BoolExpr
     right: BoolExpr
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Cmp(BoolExpr):
     op: str
     left: NumExpr
@@ -94,19 +95,19 @@ class Stmt:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Skip(Stmt):
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Seq(Stmt):
     first: Stmt
     second: Stmt
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Assign(Stmt):
     name: str
     indices: tuple
@@ -114,7 +115,7 @@ class Assign(Stmt):
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IfThenElse(Stmt):
     cond: BoolExpr
     then_branch: Stmt
@@ -122,14 +123,14 @@ class IfThenElse(Stmt):
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class While(Stmt):
     cond: BoolExpr
     body: Stmt
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RankedChoice(Stmt):
     first: Stmt
     rank: NumExpr
@@ -137,7 +138,7 @@ class RankedChoice(Stmt):
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Observe(Stmt):
     cond: BoolExpr
     pos: Pos = field(default=None, compare=False)
@@ -146,7 +147,7 @@ class Observe(Stmt):
 # sugar
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class UniformPick(Stmt):
     """``x := any_of(lo .. hi)``: a rank-0 draw from an integer interval."""
 
@@ -161,7 +162,7 @@ class UniformPick(Stmt):
             raise DesugarError(f"empty range in any_of({self.lower} .. {self.upper})")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ObserveJ(Stmt):
     """Observe with firmness: afterwards the condition is believed exactly
     that firmly instead of irrevocably."""
@@ -171,7 +172,7 @@ class ObserveJ(Stmt):
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ObserveL(Stmt):
     """Observe with impact: the condition improves by the given number of
     ranks relative to its negation, reversibly."""

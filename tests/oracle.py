@@ -59,15 +59,15 @@ def o_num(sigma, states, e, ranks):
                 return INF
             assert a is not INF and b is not INF, "oracle: undefined inf arithmetic"
             return a - b
+        if e.op in ("xor", "band", "bor"):
+            # bits are 0 and 1, and inf is no bit
+            assert a in (0, 1) and b in (0, 1), "oracle: non-boolean bit operation"
+            if e.op == "xor":
+                return a ^ b
+            return a & b if e.op == "band" else a | b
         assert a is not INF and b is not INF, "oracle: undefined inf arithmetic"
         if e.op == "*":
             return a * b
-        if e.op == "xor":
-            return a ^ b
-        if e.op == "band":
-            return a & b
-        if e.op == "bor":
-            return a | b
         if e.op in ("/", "%"):
             assert b != 0, "oracle: division by zero"
             # floor division, moved up by one where it rounded a negative

@@ -202,6 +202,44 @@ class TestRun:
         )
         assert (code, out, err) == (0, f"rank 0: x={digits}, y=-{digits}\n", "")
 
+    #: x reaches 10 ** 8192, a value of 8193 digits
+    HUGE = "x := 10; i := 0; while i < 13 do { x := x * x; i := i + 1; };\n"
+
+    @pytest.mark.skipif(
+        not 0 < _MAX_DIGITS < 8193, reason="int() prints a value of 8193 digits"
+    )
+    @pytest.mark.parametrize("fmt", ["text", "records"])
+    def test_a_value_too_long_to_print_is_an_output_error(self, tmp_path, fmt):
+        path = tmp_path / "huge.rpl"
+        path.write_text(self.HUGE)
+        code, out, err = run_cli(["run", str(path), "--format", fmt])
+        assert (code, out) == (4, "")
+        assert err.startswith("output error: cannot print an outcome: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        # the value is computed; a projection that leaves it out prints
+        code, out, err = run_cli(["run", str(path), "--project", "i"])
+        assert (code, out, err) == (0, "rank 0: i=13\n", "")
+
+    @_int_limited
+    @pytest.mark.parametrize("fmt", ["text", "records"])
+    def test_a_value_of_the_longest_printable_length_prints(self, tmp_path, fmt):
+        # x := 10 ** n has n + 1 digits
+        path = tmp_path / "power.rpl"
+        program = "x := 1; i := 0; while i < {} do {{ x := x * 10; i := i + 1; }};\n"
+        limit = ["--iter-limit", str(_MAX_DIGITS + 1), "--format", fmt]
+        path.write_text(program.format(_MAX_DIGITS - 1))
+        code, out, err = run_cli(["run", str(path), "--project", "x", *limit])
+        assert (code, err) == (0, "")
+        shown = "1" + "0" * (_MAX_DIGITS - 1)
+        if fmt == "text":
+            assert out == f"rank 0: x={shown}\n"
+        else:
+            assert json.loads(out) == {"rank": 0, "bindings": {"x": int(shown)}}
+        path.write_text(program.format(_MAX_DIGITS))
+        code, out, err = run_cli(["run", str(path), "--project", "x", *limit])
+        assert (code, out) == (4, "")
+        assert err.startswith("output error: cannot print an outcome: ")
+
     @_int_limited
     @pytest.mark.parametrize(
         "command, source, column",

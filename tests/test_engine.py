@@ -142,6 +142,7 @@ ORACLE_ABORTS = {
     "undefined inf arithmetic": "undefined-infinity-arith",
     "storing inf": "undefined-infinity-arith",
     "division by zero": "division-by-zero",
+    "non-boolean bit operation": "non-boolean-bit-op",
 }
 
 
@@ -159,6 +160,28 @@ def _engine_or_error(run, program):
         return run(program)
     except EvalError as exc:
         return exc.kind
+
+
+#: the bounded runs each injected error is also checked under
+BOUNDED = [SearchOptions(max_rank=cap) for cap in (0, 1, 2)] + [
+    SearchOptions(max_outcomes=2)
+]
+
+
+def _bounded(program, opts):
+    """The (rank, valuation) pairs a bounded run yields, in order, and whether
+    it failed."""
+    stream = enumerate_outcomes(program, opts)
+    return [(o.rank, o.valuation) for o in stream], stream.failed
+
+
+def _reference_slice(reference, opts):
+    """What a bounded run of a program whose exact result is ``reference``
+    yields: outcomes in (rank, valuation) order, cut at the limit."""
+    ordered = sorted((rank, sigma) for sigma, rank in reference.items())
+    if opts.max_outcomes is not None:
+        ordered = ordered[: opts.max_outcomes]
+    return [(r, s) for r, s in ordered if r <= opts.max_rank], reference.is_failure
 
 
 class TestOracleEquivalence:
@@ -240,16 +263,31 @@ class TestOracleEquivalence:
     def test_injected_errors_abort_alike(self):
         # the injected statement raises in every state that reaches it, so
         # the oracle aborts exactly when the engine raises, and the kinds
-        # agree (197 of these 300 programs raise)
+        # agree (197 of these 300 programs raise).  A bounded run raises only
+        # what the oracle raises, and where the oracle does not abort it
+        # yields the reference's slice; it may end cleanly where the oracle
+        # aborts, when the error sits in an alternative above its limit (21
+        # of the 788 bounded runs of aborting programs: 13 at max_rank 0, 2
+        # at 1, none at 2 and 6 with max_outcomes 2)
         rng = random.Random(9119)
-        raised = 0
+        raised = spared = 0
         for generate in (random_sugar_program, random_loop_program):
             for _ in range(150):
                 program = with_runtime_error(rng, generate(rng))
+                expected = _oracle_or_abort(program)
                 got = _engine_or_error(run_program, program)
                 raised += isinstance(got, str)
-                assert got == _oracle_or_abort(program)
+                assert got == expected
+                for opts in BOUNDED:
+                    bounded = _engine_or_error(lambda p: _bounded(p, opts), program)
+                    if not isinstance(expected, str):
+                        assert bounded == _reference_slice(expected, opts)
+                    elif isinstance(bounded, str):
+                        assert bounded == expected
+                    else:
+                        spared += 1
         assert 0 < raised < 300
+        assert spared > 0
 
     def test_division_and_modulo_match_reference(self):
         # '/' and '%' truncate toward zero on every sign of either operand;
@@ -272,6 +310,28 @@ class TestOracleEquivalence:
                     results.append(expected)
         kinds = {r if isinstance(r, str) else "ranking" for r in results}
         assert kinds == {"ranking", "division-by-zero", "undefined-infinity-arith"}
+
+    def test_bit_operators_match_reference(self):
+        # xor, band and bor take 0/1 operands; any other operand, inf
+        # included, aborts the oracle exactly where the engine raises, with
+        # or without an observation that leaves a only 0 and 1
+        results = []
+        for op in ("xor", "band", "bor"):
+            for observed in ("", "observe a == 0 || a == 1; "):
+                for value in (f"a {op} b", f"b {op} a", f"a {op} inf", f"inf {op} b"):
+                    program = parse_program(
+                        "a := any_of(-1 .. 2); b := any_of(0 .. 1); "
+                        f"{observed}x := {value};"
+                    )
+                    expected = _oracle_or_abort(program)
+                    assert _engine_or_error(run_program, program) == expected
+                    collected = _engine_or_error(
+                        lambda p: collect(enumerate_outcomes(p)), program
+                    )
+                    assert collected == expected
+                    results.append(expected)
+        kinds = {r if isinstance(r, str) else "ranking" for r in results}
+        assert kinds == {"ranking", "non-boolean-bit-op"}
 
     def test_outcomes_ascend_and_never_repeat(self):
         # the stream is where the engine orders outcomes: by rank, then by
@@ -425,15 +485,23 @@ class TestBudgets:
 
 
 def run_counted(monkeypatch, interpreter, source):
-    """Run ``source`` through one entry point and count the comparisons."""
+    """Run ``source`` through one entry point and count the comparisons: the
+    ``Cmp`` nodes that ``_holds`` tests, and the ``_compare`` calls, which
+    include observeL's guard (a ``<=`` in a condition counts twice; these
+    sources hold none)."""
     calls = [0]
-    original = rankpl.engine._compare
+    compare, holds = rankpl.engine._compare, rankpl.engine._holds
 
-    def counting(*args):
+    def counting_compare(*args):
         calls[0] += 1
-        return original(*args)
+        return compare(*args)
 
-    monkeypatch.setattr(rankpl.engine, "_compare", counting)
+    def counting_holds(sigma, partial, b):
+        calls[0] += type(b) is rankpl.syntax.Cmp
+        return holds(sigma, partial, b)
+
+    monkeypatch.setattr(rankpl.engine, "_compare", counting_compare)
+    monkeypatch.setattr(rankpl.engine, "_holds", counting_holds)
     program = parse_program(source)
     if interpreter == "enumerate_outcomes":
         result = collect(enumerate_outcomes(program))

@@ -1,8 +1,12 @@
+import dataclasses
 import random
 
 import pytest
 
+import rankpl.syntax
+from rankpl.engine import _eval_num, _holds, _Partial
 from rankpl.parser import parse_program
+from rankpl.ranking import INF, Valuation
 from rankpl.syntax import (
     And,
     Assign,
@@ -45,6 +49,79 @@ def core_only(s) -> bool:
         RankedChoice: lambda: (s.first, s.second),
     }.get(type(s), tuple)()
     return all(core_only(c) for c in children)
+
+
+def one_of_each_node():
+    cond = Cmp("==", Var("x", (lit(0),)), lit(1))
+    return [
+        lit(1),
+        Var("x"),
+        RankOf(cond),
+        BinOp("+", lit(1), lit(2)),
+        Not(cond),
+        Or(cond, cond),
+        And(cond, cond),
+        cond,
+        Skip(),
+        Seq(Skip(), Skip()),
+        Assign("x", (), lit(1)),
+        IfThenElse(cond, Skip(), Skip()),
+        While(cond, Skip()),
+        RankedChoice(Skip(), lit(1), Skip()),
+        Observe(cond),
+        UniformPick("x", (), 0, 1),
+        ObserveJ(lit(1), cond),
+        ObserveL(lit(1), cond),
+    ]
+
+
+class TestNodes:
+    """Nodes are slotted dataclasses: no instance ``__dict__``, and equality
+    and hashing that leave source positions out."""
+
+    def test_one_of_each_node_covers_every_node_class(self):
+        classes = {
+            value
+            for value in vars(rankpl.syntax).values()
+            if isinstance(value, type) and dataclasses.is_dataclass(value)
+        }
+        assert {type(node) for node in one_of_each_node()} == classes
+
+    def test_equality_and_hash_ignore_positions(self):
+        source = (
+            "x := any_of(0 .. 2); y[x] := x + 1 or(rank(x == 1)) 2; "
+            "while x < 2 && !(y[x] == 0) do { x := x + 1; }; "
+            "if x <= 2 || x == 3 then { observeL(1, x == 2); } "
+            "else { observeJ(2, x == 1); };"
+        )
+        moved = parse_program("\n\n   " + source.replace(" ", "  "))
+        program = parse_program(source)
+        assert program.pos != moved.pos
+        assert program == moved and hash(program) == hash(moved)
+        for node in one_of_each_node():
+            assert node == dataclasses.replace(node, pos=(9, 9))
+            assert hash(node) == hash(dataclasses.replace(node, pos=(9, 9)))
+
+    def test_node_classes_tell_equal_fields_apart(self):
+        a, b = Cmp("==", Var("x"), lit(1)), Cmp("<", Var("y"), lit(2))
+        assert Or(a, b) != And(a, b)
+        assert ObserveJ(lit(1), a) != ObserveL(lit(1), a)
+
+    def test_nodes_have_no_instance_dict(self):
+        for node in one_of_each_node():
+            assert dataclasses.is_dataclass(node)
+            assert not hasattr(node, "__dict__")
+            with pytest.raises(AttributeError):
+                node.note = "unknown attribute"
+
+    def test_evaluator_refuses_what_is_no_node(self):
+        state, ranking = Valuation(), _Partial({Valuation(): 0}, INF)
+        with pytest.raises(TypeError, match="not a numeric expression"):
+            _eval_num(state, ranking, 1)
+        with pytest.raises(TypeError, match="not a boolean expression"):
+            _holds(state, ranking, True)
+        with pytest.raises(TypeError, match="not a boolean expression"):
+            _holds(state, ranking, lit(1))
 
 
 class TestDesugar:
