@@ -20,6 +20,8 @@ import argparse
 import json
 import re
 import sys
+from itertools import groupby
+from operator import itemgetter
 
 from .engine import (
     BudgetExhaustedError,
@@ -27,7 +29,7 @@ from .engine import (
     SearchOptions,
     enumerate_outcomes,
 )
-from .parser import ParseError, parse_program, tokenize
+from .parser import ParseError, _is_name, _lex, parse_program
 from .ranking import INF, format_binding
 from .syntax import Assign, IntLit, Seq, Skip
 
@@ -128,14 +130,14 @@ _ENTRY = re.compile(r"([^\W\d]\w*)\s*=")
 
 def _variable_name(name: str) -> str:
     """``name`` without surrounding blanks, if the program's tokenizer reads
-    it as one variable name; a define bound under any other name could
-    never be read by a program."""
+    it as one variable name; a define bound or a variable projected under
+    any other name could never be read by a program."""
     name = name.strip()
     try:
-        tokens = tokenize(name)
+        texts = _lex(name)[0]
     except ParseError:
-        tokens = []
-    if len(tokens) != 2 or tokens[0].kind != "identifier" or tokens[0].text != name:
+        texts = []
+    if texts != [name, ""] or not _is_name(name):
         raise InputError(f"{name!r} is not a variable name")
     return name
 
@@ -231,24 +233,42 @@ def _emit(out, rank, valuation, projection, fmt):
 # -- commands -------------------------------------------------------------------
 
 
+def _read_defines(args) -> dict:
+    """The ``--define`` and ``--input`` values, read with the ``--enum`` ones."""
+    enums = {}
+    for mapping in args.enum:
+        for piece in mapping.split(","):
+            name, _, number = piece.partition("=")
+            if not name.strip() or not re.fullmatch(r"-?[0-9]+", number.strip()):
+                raise InputError(f"bad --enum entry {piece!r}")
+            enums[_enum_name(name)] = _integer(number.strip())
+    defines = {}
+    for path in args.input:
+        defines.update(parse_input_file(_read(path), enums))
+    for entry in args.define:
+        name, eq, text = entry.partition("=")
+        if not eq or not name.strip():
+            raise InputError(f"bad --define entry {entry!r}")
+        defines[_variable_name(name)] = parse_define_value(text, enums)
+    return defines
+
+
+def _fresh(stream, projection):
+    """``(rank, state)`` for each outcome whose projected state is new."""
+    seen = set()
+    for outcome in stream:
+        state = outcome.valuation
+        if projection is not None:
+            state = state.restrict(projection)
+        if state not in seen:
+            seen.add(state)
+            yield outcome.rank, state
+
+
 def cmd_run(args, out, err) -> int:
     try:
         source = _read(args.file)
-        enums = {}
-        for mapping in args.enum:
-            for piece in mapping.split(","):
-                name, _, number = piece.partition("=")
-                if not name.strip() or not re.fullmatch(r"-?[0-9]+", number.strip()):
-                    raise InputError(f"bad --enum entry {piece!r}")
-                enums[_enum_name(name)] = _integer(number.strip())
-        defines = {}
-        for path in args.input:
-            defines.update(parse_input_file(_read(path), enums))
-        for entry in args.define:
-            name, eq, text = entry.partition("=")
-            if not eq or not name.strip():
-                raise InputError(f"bad --define entry {entry!r}")
-            defines[_variable_name(name)] = parse_define_value(text, enums)
+        defines = _read_defines(args)
     except InputError as exc:
         err.write(f"input error: {exc}\n")
         return EXIT_IO
@@ -267,57 +287,32 @@ def cmd_run(args, out, err) -> int:
             raise ValueError("--top must be non-negative")
         options = SearchOptions(
             max_rank=INF if args.max_rank is None else args.max_rank,
-            max_outcomes=None,
             max_while_iterations=args.iter_limit,
         )
-    except ValueError as exc:
+        projection = None
+        if args.project is not None:
+            projection = {
+                _variable_name(name) for name in args.project.split(",") if name.strip()
+            }
+    except (ValueError, InputError) as exc:
         err.write(f"input error: {exc}\n")
         return EXIT_IO
-    projection = None
-    if args.project is not None:
-        projection = [v.strip() for v in args.project.split(",") if v.strip()]
 
     try:
         stream = enumerate_outcomes(Seq(binding_prelude(defines), program), options)
         emitted = 0
-        seen = set()
-        pending_rank = None
-        pending = []
-
-        def flush():
-            nonlocal emitted
+        for rank, group in groupby(_fresh(stream, projection), key=itemgetter(0)):
             # a rank's outcomes arrive sorted; a projection can reorder them
-            for valuation in sorted(pending):
+            for _, state in sorted(group):
                 if args.top is not None and emitted >= args.top:
-                    return False
-                _emit(out, pending_rank, valuation, projection, args.format)
-                emitted += 1
-            return True
-
-        for outcome in stream:
-            state = (
-                outcome.valuation.restrict(projection)
-                if projection is not None
-                else outcome.valuation
-            )
-            if state in seen:
-                continue
-            seen.add(state)
-            if outcome.rank != pending_rank:
-                if pending and not flush():
                     return EXIT_OK
-                pending_rank, pending = outcome.rank, []
-            pending.append(state)
-        if pending and not flush():
-            return EXIT_OK
+                _emit(out, rank, state, projection, args.format)
+                emitted += 1
         if stream.failed:
             out.write(FAILED_MESSAGE + "\n")
             return EXIT_FAILED
         return EXIT_OK
-    except EvalError as exc:
-        err.write(f"runtime error: {exc}\n")
-        return EXIT_RUNTIME
-    except BudgetExhaustedError as exc:
+    except (EvalError, BudgetExhaustedError) as exc:
         err.write(f"runtime error: {exc}\n")
         return EXIT_RUNTIME
     except OutputError as exc:

@@ -17,7 +17,9 @@ lifted back into one merge, as each group of a ranked choice's penalized
 alternative is.  The branching step, the slice step and the grouping of a
 choice by penalty take the branch body as a callable, so ``observeJ`` and
 ``observeL`` run as the steps of their lowering (see ``syntax.desugar``)
-without building it, and test their condition once per state.  At an
+without building it: each ranked choice of a lowering is one revision step,
+``_revise``, and observeL's ``if rank(b) <= n`` is one branching step
+between two of them.  Both test their condition once per state.  At an
 infinite budget nothing is pruned and the result is exact; ``run_program``
 and ``denote`` without a limit are that exact run.
 
@@ -245,14 +247,6 @@ def _apply_binop(op: str, a, b, pos):
     raise AssertionError(f"unknown operator {op!r}")
 
 
-def _compare(op: str, a, b) -> bool:
-    # comparisons are total: INF orders itself against integers; ``_holds``
-    # applies ``==`` and ``<`` itself
-    if op == "<=":
-        return a <= b
-    raise AssertionError(f"unknown comparison {op!r}")
-
-
 def _indices(sigma: Valuation, partial: _Partial, exprs: tuple, pos) -> tuple:
     indices = []
     for ix in exprs:
@@ -309,7 +303,8 @@ def _holds(sigma: Valuation, partial: _Partial, b: BoolExpr) -> bool:
             return left == right
         if b.op == "<":
             return left < right
-        return _compare(b.op, left, right)
+        # comparisons are total: INF orders itself against integers
+        return left <= right
     if t is Not:
         return not _holds(sigma, partial, b.operand)
     if t is And:
@@ -450,12 +445,11 @@ def _choice(left: _Partial, offset, run, p: _Partial, pos, ctx: _Round) -> _Part
 # observeJ(n, b) and observeL(n, b) run as the steps of their lowering
 # (``syntax.expand_observe_j``/``expand_observe_l``), in the lowering's order,
 # without building it: the slices, rounds, errors and their positions are the
-# lowering's.  The condition is tested once per state of the prior, and that
-# truth table serves the precondition, every split of b from !b and every
-# rank(b) or rank(!b).  A condition that reads rank() reads the ranking it is
-# tested against, so each slice the lowering tests it on tests it afresh.
-# The strength is read per state: against the prior by observeJ and by
-# observeL's guard, against the guard's slice in observeL's offsets.
+# lowering's.  Each of its ranked choices is one ``_revise`` step, whose
+# offset reads the strength n against the ranking the step runs on.  The
+# condition is tested once per state of the prior, and that truth table serves
+# the precondition, every split and every rank(b) or rank(!b); one that reads
+# rank() reads the ranking it is tested against, so each slice tests it afresh.
 
 
 def _reads_rank(e) -> bool:
@@ -474,18 +468,6 @@ def _reads_rank(e) -> bool:
     return False
 
 
-def _split(q: _Partial, truth: dict) -> tuple:
-    """``q``'s entries where the condition holds, and where it does not."""
-    yes: dict[Valuation, int] = {}
-    no: dict[Valuation, int] = {}
-    for sigma, rank in q.entries.items():
-        if truth[sigma]:
-            yes[sigma] = rank
-        else:
-            no[sigma] = rank
-    return yes, no
-
-
 def _least(part: dict, q: _Partial):
     """The rank in ``q`` of an event, given ``part``, the entries of ``q``
     where it holds: None when no state of it is visible and it may hide
@@ -502,35 +484,42 @@ def _observe_where(truths, holds: bool, q: _Partial, ctx: _Round) -> _Partial:
     return _normalized(kept, q.bound)
 
 
-def _taken(s: ObserveL, truths, q: _Partial, ctx: _Round) -> _Partial:
-    """``either { observe b } or (n - rank(b) + rank(!b)) { observe !b }``"""
-    yes, no = _split(q, truths(q))
-    left = _normalized(yes, q.bound)
-    rank_b, rank_not_b = _least(yes, q), _least(no, q)
-
-    def offset(sigma):
-        diff = _apply_binop("-", _eval_num(sigma, q, s.strength), rank_b, s.pos)
-        if rank_not_b is None:
-            raise _InsufficientBudget
-        return _apply_binop("+", diff, rank_not_b, s.pos)
-
-    run = functools.partial(_observe_where, truths, False)
-    return _choice(left, offset, run, q, s.pos, ctx)
+def _j_offset(s, q: _Partial, rank_c, rank_not_c, sigma):
+    """observeJ's offset: ``n``."""
+    return _eval_num(sigma, q, s.strength)
 
 
-def _flipped(s: ObserveL, truths, q: _Partial, ctx: _Round) -> _Partial:
-    """``either { observe !b } or (rank(b) - n) { observe b }``"""
-    yes, no = _split(q, truths(q))
-    left = _normalized(no, q.bound)
-    rank_b = _least(yes, q)
+def _taken_offset(s, q: _Partial, rank_b, rank_not_b, sigma):
+    """observeL's offset where ``rank(b) <= n``: ``n - rank(b) + rank(!b)``."""
+    diff = _apply_binop("-", _eval_num(sigma, q, s.strength), rank_b, s.pos)
+    if rank_not_b is None:
+        raise _InsufficientBudget
+    return _apply_binop("+", diff, rank_not_b, s.pos)
 
-    def offset(sigma):
-        if rank_b is None:
-            raise _InsufficientBudget
-        return _apply_binop("-", rank_b, _eval_num(sigma, q, s.strength), s.pos)
 
-    run = functools.partial(_observe_where, truths, True)
-    return _choice(left, offset, run, q, s.pos, ctx)
+def _flipped_offset(s, q: _Partial, rank_not_b, rank_b, sigma):
+    """observeL's offset where ``n < rank(b)``, with c = !b: ``rank(b) - n``."""
+    if rank_b is None:
+        raise _InsufficientBudget
+    return _apply_binop("-", rank_b, _eval_num(sigma, q, s.strength), s.pos)
+
+
+def _revise(s, truths, holds: bool, offset, q: _Partial, ctx: _Round) -> _Partial:
+    """``either { observe c } or (k) { observe !c }`` on ``q``, where c is
+    the condition (``holds``) or its negation and ``k`` is
+    ``offset(s, q, rank(c), rank(!c), sigma)`` per state."""
+    truth = truths(q)
+    kept: dict[Valuation, int] = {}
+    rest: dict[Valuation, int] = {}
+    for sigma, rank in q.entries.items():
+        if truth[sigma] == holds:
+            kept[sigma] = rank
+        else:
+            rest[sigma] = rank
+    left = _normalized(kept, q.bound)
+    k = functools.partial(offset, s, q, _least(kept, q), _least(rest, q))
+    run = functools.partial(_observe_where, truths, not holds)
+    return _choice(left, k, run, q, s.pos, ctx)
 
 
 def _observe_graded(s, p: _Partial, ctx: _Round) -> _Partial:
@@ -546,34 +535,22 @@ def _observe_graded(s, p: _Partial, ctx: _Round) -> _Partial:
                 "condition and its negation must both have finite rank",
             )
         raise _InsufficientBudget
-    # truths(q) tells, per state of a slice q, whether the condition holds
-    if _reads_rank(s.cond):
+    reads_rank = _reads_rank(s.cond)
 
-        def truths(q):
-            return {sigma: _holds(sigma, q, s.cond) for sigma in q.entries}
-
-    else:
-
-        def truths(q):
+    def truths(q):
+        """Whether the condition holds, per state of ``p`` or of a slice."""
+        if q is p or not reads_rank:
             return truth
+        return {sigma: _holds(sigma, q, s.cond) for sigma in q.entries}
 
-    yes = {sigma: rank for sigma, rank in p.entries.items() if truth[sigma]}
     if isinstance(s, ObserveJ):
-        # either { observe b } or (n) { observe !b }
-        return _choice(
-            _normalized(yes, p.bound),
-            functools.partial(_eval_num, partial=p, e=s.strength),
-            functools.partial(_observe_where, truths, False),
-            p,
-            s.pos,
-            ctx,
-        )
+        return _revise(s, truths, True, _j_offset, p, ctx)
     # if rank(b) <= n then { taken } else { flipped }
-    rank_b = min(yes.values())
+    rank_b = min(rank for sigma, rank in p.entries.items() if truth[sigma])
     return _branch(
-        lambda sigma: _compare("<=", rank_b, _eval_num(sigma, p, s.strength)),
-        functools.partial(_taken, s, truths),
-        functools.partial(_flipped, s, truths),
+        lambda sigma: rank_b <= _eval_num(sigma, p, s.strength),
+        functools.partial(_revise, s, truths, True, _taken_offset),
+        functools.partial(_revise, s, truths, False, _flipped_offset),
         p,
         s.pos,
         ctx,
@@ -674,8 +651,8 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
 
 
 def _stream(stream: OutcomeStream, program: Stmt, prior: dict, opts: SearchOptions):
-    emitted: set[Valuation] = set()
     count = 0
+    yielded = -1  # the outcomes ranked at or below this have been yielded
     # with every outcome wanted, deepening would only replay the program;
     # one round at infinite budget prunes nothing and is the exact result
     unbounded = opts.max_rank is INF and opts.max_outcomes is None
@@ -693,10 +670,10 @@ def _stream(stream: OutcomeStream, program: Stmt, prior: dict, opts: SearchOptio
         fresh = sorted(
             (rank, sigma)
             for sigma, rank in result.entries.items()
-            if rank <= trusted and sigma not in emitted
+            if yielded < rank <= trusted
         )
+        yielded = max(yielded, trusted)
         for rank, sigma in fresh:
-            emitted.add(sigma)
             yield Outcome(sigma, rank)
             count += 1
             if opts.max_outcomes is not None and count >= opts.max_outcomes:

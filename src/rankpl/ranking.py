@@ -175,9 +175,6 @@ class Valuation:
             tuple(item for item in self._items if item[0][0] in wanted)
         )
 
-    def variables(self) -> frozenset:
-        return frozenset(key[0] for key, _ in self._items)
-
     def __eq__(self, other):
         return isinstance(other, Valuation) and self._items == other._items
 

@@ -419,6 +419,34 @@ class TestRun:
             assert code == 0 and err == ""
             assert out == "rank 0: x=1\nrank 0: x=2\nrank 1: x=0\n"
 
+    @pytest.mark.parametrize("name", ["a[0]", "1x", "if"])
+    def test_project_name_must_be_a_variable_name(self, tmp_path, name):
+        path = tmp_path / "a.rpl"
+        path.write_text("a[0] := 3;\n")
+        code, out, err = run_cli(["run", str(path), "--project", f"x,{name}"])
+        assert (code, out) == (4, "")
+        assert err == f"input error: {name!r} is not a variable name\n"
+        # names are checked after the program parses, as --top and --max-rank
+        path.write_text("a[0] := ;\n")
+        code, out, err = run_cli(["run", str(path), "--project", name])
+        assert (code, out) == (2, "") and "parse error" in err
+
+    @pytest.mark.parametrize(
+        "project, expected",
+        [
+            ("x,x", "rank 0: x=1\n"),
+            (" , x", "rank 0: x=1\n"),
+            ("é", "rank 0: é=2\n"),
+            ("x, é ,x,", "rank 0: x=1, é=2\n"),
+        ],
+        ids=["duplicate", "blank-entry", "unicode", "mixed"],
+    )
+    def test_projection_names(self, tmp_path, project, expected):
+        # a name given twice is one column; a Unicode letter spells a name
+        path = tmp_path / "a.rpl"
+        path.write_text("x := 1; é := 2;\n", encoding="utf-8")
+        assert run_cli(["run", str(path), "--project", project]) == (0, expected, "")
+
     def test_empty_projection_of_skip(self, tmp_path):
         path = tmp_path / "skip.rpl"
         path.write_text("skip;\n")

@@ -486,21 +486,15 @@ class TestBudgets:
 
 def run_counted(monkeypatch, interpreter, source):
     """Run ``source`` through one entry point and count the comparisons: the
-    ``Cmp`` nodes that ``_holds`` tests, and the ``_compare`` calls, which
-    include observeL's guard (a ``<=`` in a condition counts twice; these
-    sources hold none)."""
+    ``Cmp`` nodes that ``_holds`` tests.  observeL's guard compares numbers
+    directly and is not counted."""
     calls = [0]
-    compare, holds = rankpl.engine._compare, rankpl.engine._holds
-
-    def counting_compare(*args):
-        calls[0] += 1
-        return compare(*args)
+    holds = rankpl.engine._holds
 
     def counting_holds(sigma, partial, b):
         calls[0] += type(b) is rankpl.syntax.Cmp
         return holds(sigma, partial, b)
 
-    monkeypatch.setattr(rankpl.engine, "_compare", counting_compare)
     monkeypatch.setattr(rankpl.engine, "_holds", counting_holds)
     program = parse_program(source)
     if interpreter == "enumerate_outcomes":
@@ -544,7 +538,7 @@ class TestRankOfOncePerRanking:
     def test_observe_l(self, monkeypatch, interpreter):
         # one pass tests the condition per state and serves the precondition,
         # every split of b from !b and every rank(b); the guard rank(b) <= 2
-        # then compares once per state
+        # compares once per state too, outside ``_holds``
         result, calls = run_counted(
             monkeypatch, interpreter, "x := any_of(0 .. 199); observeL(2, x > 196);"
         )
@@ -610,23 +604,36 @@ class TestGradedObservations:
             return err.kind, err.pos
 
     @pytest.mark.parametrize("source", SOURCES.values(), ids=SOURCES.keys())
-    def test_runs_as_the_lowering(self, source):
+    def test_runs_as_the_lowering(self, monkeypatch, source):
         program = parse_program(source)
         lowered = rankpl.syntax.desugar(program)
         exact = self.outcome(lambda: run_program(lowered))
         if not isinstance(exact, tuple):
             exact = oracle_ranking(program)
         assert self.outcome(lambda: run_program(program)) == exact
-        for cap in (0, 1, 2):
+        budgets = []
+        start_round = rankpl.engine._Round.__init__
 
-            def sliced(program, cap=cap):
-                stream = enumerate_outcomes(program, SearchOptions(max_rank=cap))
-                return {o.valuation: o.rank for o in stream}
+        def recording(round_, budget, iteration_limit):
+            budgets.append(budget)
+            start_round(round_, budget, iteration_limit)
 
-            expected = self.outcome(lambda: sliced(lowered))
-            if not isinstance(expected, tuple):
-                expected = {v: r for v, r in exact.items() if r <= cap}
-            assert self.outcome(lambda: sliced(program)) == expected
+        monkeypatch.setattr(rankpl.engine._Round, "__init__", recording)
+        limits = [SearchOptions(max_rank=cap) for cap in (0, 1, 2)]
+        for opts in limits + [SearchOptions(max_outcomes=1)]:
+
+            def bounded(program, opts=opts):
+                """The run's outcomes, or its error, and its rounds' budgets."""
+                budgets.clear()
+                stream = enumerate_outcomes(program, opts)
+                result = self.outcome(lambda: {o.valuation: o.rank for o in stream})
+                return result, list(budgets)
+
+            expected, rounds = bounded(lowered)
+            if not isinstance(expected, tuple) and opts.max_outcomes is None:
+                expected = {v: r for v, r in exact.items() if r <= opts.max_rank}
+            # the native steps deepen in the lowering's rounds
+            assert bounded(program) == (expected, rounds)
 
 
 class TestBoundedDenote:
