@@ -7,7 +7,7 @@ rank order.  External inputs are bound before execution with ``--define``
 ``name = value`` entry each, and ``--enum`` mappings that give symbolic
 tokens integer values.  ``--format records`` emits one JSON object per line,
 ``{"rank": ..., "bindings": {...}}``, with the same content as the text
-lines.
+lines, and ``{"failed": true}`` for the failure ranking.
 
 Exit codes: 0 success, 1 failure ranking, 2 parse error, 3 runtime error,
 4 input/output error, 5 internal error (an unexpected exception in the
@@ -33,7 +33,11 @@ from .parser import ParseError, _is_name, _lex, parse_program
 from .ranking import INF, format_binding
 from .syntax import Assign, IntLit, Seq, Skip
 
-FAILED_MESSAGE = "failed (observation ruled out all possibilities)"
+#: the stdout line of the failure ranking, per ``--format``
+FAILED_LINES = {
+    "text": "failed (observation ruled out all possibilities)",
+    "records": '{"failed": true}',
+}
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -43,8 +47,12 @@ EXIT_IO = 4
 EXIT_INTERNAL = 5
 
 
+class ReadError(Exception):
+    """A program or input file that cannot be opened or decoded."""
+
+
 class InputError(Exception):
-    """Malformed --define/--enum/--input data."""
+    """Malformed --define/--enum/--input data or a bad option value."""
 
 
 class OutputError(Exception):
@@ -121,10 +129,6 @@ def parse_define_value(text: str, enums: dict) -> "int | list":
     return top[0]
 
 
-def _strip_comments(text: str) -> str:
-    return "\n".join(line.split("//", 1)[0] for line in text.splitlines())
-
-
 _ENTRY = re.compile(r"([^\W\d]\w*)\s*=")
 
 
@@ -153,23 +157,16 @@ def _enum_name(name: str) -> str:
 
 
 def parse_input_file(text: str, enums: dict) -> dict:
-    """Parse ``name = value`` entries; values may span lines."""
-    body = _strip_comments(text)
-    defines = {}
-    pos = 0
-    while True:
-        match = _ENTRY.search(body, pos)
-        if match is None:
-            if body[pos:].strip():
-                raise InputError(f"junk in input file: {body[pos:].strip()!r}")
-            return defines
-        if body[pos : match.start()].strip():
-            raise InputError(f"junk in input file: {body[pos:match.start()].strip()!r}")
-        following = _ENTRY.search(body, match.end())
-        stop = following.start() if following else len(body)
-        name = _variable_name(match.group(1))
-        defines[name] = parse_define_value(body[match.end() : stop], enums)
-        pos = stop
+    """Parse ``name = value`` entries; values may span lines, and a ``//``
+    comment ends at ``"\\n"``, as in programs."""
+    body = "\n".join(re.sub(r"//[^\n]*", "", text).splitlines())
+    junk, *entries = _ENTRY.split(body)
+    if junk.strip():
+        raise InputError(f"junk in input file: {junk.strip()!r}")
+    return {
+        _variable_name(name): parse_define_value(value, enums)
+        for name, value in zip(entries[::2], entries[1::2])
+    }
 
 
 def binding_prelude(defines: dict):
@@ -265,84 +262,57 @@ def _fresh(stream, projection):
             yield outcome.rank, state
 
 
-def cmd_run(args, out, err) -> int:
-    try:
-        source = _read(args.file)
-        defines = _read_defines(args)
-    except InputError as exc:
-        err.write(f"input error: {exc}\n")
-        return EXIT_IO
-    except OSError as exc:
-        err.write(f"cannot read input: {exc}\n")
-        return EXIT_IO
-
-    try:
-        program = parse_program(source)
-    except ParseError as exc:
-        err.write(f"{args.file}: parse error: {exc}\n")
-        return EXIT_PARSE
-
-    try:
-        if args.top is not None and args.top < 0:
-            raise ValueError("--top must be non-negative")
-        options = SearchOptions(
-            max_rank=INF if args.max_rank is None else args.max_rank,
-            max_while_iterations=args.iter_limit,
-        )
-        projection = None
-        if args.project is not None:
-            projection = {
-                _variable_name(name) for name in args.project.split(",") if name.strip()
-            }
-    except (ValueError, InputError) as exc:
-        err.write(f"input error: {exc}\n")
-        return EXIT_IO
-
-    try:
-        stream = enumerate_outcomes(Seq(binding_prelude(defines), program), options)
-        emitted = 0
-        for rank, group in groupby(_fresh(stream, projection), key=itemgetter(0)):
-            # a rank's outcomes arrive sorted; a projection can reorder them
-            for _, state in sorted(group):
-                if args.top is not None and emitted >= args.top:
-                    return EXIT_OK
-                _emit(out, rank, state, projection, args.format)
-                emitted += 1
-        if stream.failed:
-            out.write(FAILED_MESSAGE + "\n")
-            return EXIT_FAILED
-        return EXIT_OK
-    except (EvalError, BudgetExhaustedError) as exc:
-        err.write(f"runtime error: {exc}\n")
-        return EXIT_RUNTIME
-    except OutputError as exc:
-        err.write(f"output error: {exc}\n")
-        return EXIT_IO
+def cmd_run(args, out) -> int:
+    source = _read(args.file)
+    defines = _read_defines(args)
+    program = parse_program(source)
+    # the option values are checked after the program parses
+    if args.top is not None and args.top < 0:
+        raise InputError("--top must be non-negative")
+    if args.max_rank is not None and args.max_rank < 0:
+        raise InputError("max_rank must be a rank")
+    if args.iter_limit <= 0:
+        raise InputError("max_while_iterations must be positive")
+    options = SearchOptions(
+        max_rank=INF if args.max_rank is None else args.max_rank,
+        max_while_iterations=args.iter_limit,
+    )
+    projection = None
+    if args.project is not None:
+        projection = {
+            _variable_name(name) for name in args.project.split(",") if name.strip()
+        }
+    stream = enumerate_outcomes(Seq(binding_prelude(defines), program), options)
+    emitted = 0
+    for rank, group in groupby(_fresh(stream, projection), key=itemgetter(0)):
+        # a rank's outcomes arrive sorted; a projection can reorder them
+        for _, state in sorted(group):
+            if args.top is not None and emitted >= args.top:
+                return EXIT_OK
+            _emit(out, rank, state, projection, args.format)
+            emitted += 1
+    if stream.failed:
+        out.write(FAILED_LINES[args.format] + "\n")
+        return EXIT_FAILED
+    return EXIT_OK
 
 
-def cmd_check(args, out, err) -> int:
-    try:
-        source = _read(args.file)
-    except OSError as exc:
-        err.write(f"cannot read input: {exc}\n")
-        return EXIT_IO
-    try:
-        parse_program(source)
-    except ParseError as exc:
-        err.write(f"{args.file}: parse error: {exc}\n")
-        return EXIT_PARSE
+def cmd_check(args, out) -> int:
+    parse_program(_read(args.file))
     out.write(f"{args.file}: ok\n")
     return EXIT_OK
 
 
 def _read(path: str) -> str:
-    """A file's text.  A file that is not UTF-8 cannot be read either, so it
-    raises ``OSError`` as a missing one does."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
+    """A file's text, UTF-8 with an optional byte order mark; a file that
+    cannot be opened or decoded raises ``ReadError``."""
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
-        except UnicodeDecodeError as exc:
-            raise OSError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except UnicodeDecodeError as exc:
+        raise ReadError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:
+        raise ReadError(exc) from None
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -416,11 +386,23 @@ def main(argv=None, out=None, err=None) -> int:
     if _arg_parser is None:
         _arg_parser = build_arg_parser()
     args = _arg_parser.parse_args(argv)
+    # each error ends the command with one stderr line and its exit code
     try:
-        return args.handler(args, out, err)
+        return args.handler(args, out)
+    except ReadError as exc:
+        code, line = EXIT_IO, f"cannot read input: {exc}"
+    except InputError as exc:
+        code, line = EXIT_IO, f"input error: {exc}"
+    except ParseError as exc:
+        code, line = EXIT_PARSE, f"{args.file}: parse error: {exc}"
+    except (EvalError, BudgetExhaustedError) as exc:
+        code, line = EXIT_RUNTIME, f"runtime error: {exc}"
+    except (OutputError, OSError) as exc:  # _read leaves only write failures
+        code, line = EXIT_IO, f"output error: {exc}"
     except Exception as exc:  # a crash must never read as a program's result
-        err.write(f"internal error: {exc!r}\n")
-        return EXIT_INTERNAL
+        code, line = EXIT_INTERNAL, f"internal error: {exc!r}"
+    err.write(line + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import io
 import json
 import sys
 
@@ -5,6 +6,7 @@ import pytest
 
 import rankpl.cli
 from conftest import LOCALIZATION_ARGS, run_cli
+from rankpl.engine import BudgetExhaustedError
 
 
 #: the most digits int() converts (sys.get_int_max_str_digits)
@@ -77,6 +79,13 @@ class TestRun:
         code, out, _ = run_cli(["run", str(path)])
         assert code == 1
         assert out == "failed (observation ruled out all possibilities)\n"
+
+    def test_records_failure_line_is_json(self, tmp_path):
+        path = tmp_path / "fail.rpl"
+        path.write_text("observe 1 == 2;\n")
+        code, out, _ = run_cli(["run", str(path), "--format", "records"])
+        assert code == 1
+        assert [json.loads(line) for line in out.splitlines()] == [{"failed": True}]
 
     def test_runtime_error_exit_code(self, tmp_path):
         path = tmp_path / "div.rpl"
@@ -304,6 +313,28 @@ class TestRun:
         bad = argv[-1]
         assert err == f"cannot read input: {bad}: not UTF-8 text (invalid start byte)\n"
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["check", "bom.rpl"], "bom.rpl: ok\n"),
+            (["run", "bom.rpl"], "rank 0: x=1\n"),
+            (["run", "a.rpl", "--input", "bom.input", "--project", "x"], "rank 0: x=2\n"),
+        ],
+        ids=["check", "run", "input"],
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, argv, expected):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.rpl").write_text("x := a;\n")
+        (tmp_path / "bom.rpl").write_text("x := 1;\n", encoding="utf-8-sig")
+        (tmp_path / "bom.input").write_text("a = 2\n", encoding="utf-8-sig")
+        assert run_cli(argv) == (0, expected, "")
+
+    def test_input_file_comments_end_at_newline(self):
+        # as in programs: "\r" and the other line breaks of str.splitlines
+        # do not end a comment
+        text = "a = 1 // b = 2\r c = 3\u2028 d = 4\ne = 5 // f = 6\n"
+        assert rankpl.cli.parse_input_file(text, {}) == {"a": 1, "e": 5}
+
     @pytest.mark.parametrize("name", ["x[0]", "a b", "1x", "if"])
     def test_define_name_must_be_a_variable_name(self, tmp_path, name):
         path = tmp_path / "a.rpl"
@@ -490,6 +521,132 @@ class TestRun:
         )
         assert code == 0
         assert out == "rank 0: x=4, y=5\n"
+
+
+class _BrokenPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def _raising(exc):
+    def raise_(*args, **kwargs):
+        raise exc
+
+    return raise_
+
+
+class TestExitCodes:
+    """Each failure ends a command with its exit code and one stderr line
+    that starts with the error class's prefix."""
+
+    LATE = (
+        "x := 0 or(1) 1; z := 2 or(3) 3; "
+        "if z == 3 then { y := 1 / 0; } else { skip; };\n"
+    )
+    READ = "cannot read input: "
+    INPUT = "input error: "
+    RUNTIME = "runtime error: "
+    OUTPUT = "output error: "
+    INTERNAL = "internal error: "
+
+    @pytest.mark.parametrize(
+        "argv, patch, code, printed, prefix",
+        [
+            (["run", "absent.rpl"], None, 4, False, READ),
+            (["check", "absent.rpl"], None, 4, False, READ),
+            (["run", "dir"], None, 4, False, READ),
+            (["check", "dir"], None, 4, False, READ),
+            (["run", "latin1.rpl"], None, 4, False, READ),
+            (["check", "latin1.rpl"], None, 4, False, READ),
+            (["run", "ok.rpl", "--input", "latin1.input"], None, 4, False, READ),
+            (["run", "ok.rpl", "--define", "a=[1,"], None, 4, False, INPUT),
+            (["run", "ok.rpl", "--top", "-1"], None, 4, False, INPUT),
+            (["run", "ok.rpl", "--max-rank", "-1"], None, 4, False, INPUT),
+            (["run", "ok.rpl", "--iter-limit", "0"], None, 4, False, INPUT),
+            (["run", "syntax.rpl"], None, 2, False, "syntax.rpl: parse error: "),
+            (["check", "syntax.rpl"], None, 2, False, "syntax.rpl: parse error: "),
+            (["run", "late.rpl"], None, 3, False, RUNTIME),
+            (["run", "late.rpl", "--max-rank", "5"], None, 3, True, RUNTIME),
+            (
+                ["run", "ok.rpl"],
+                ("enumerate_outcomes", BudgetExhaustedError("no outcome")),
+                3,
+                False,
+                RUNTIME,
+            ),
+            pytest.param(
+                ["run", "times10.rpl", "--define", f"a={'9' * _MAX_DIGITS}"],
+                None,
+                4,
+                False,
+                OUTPUT + "cannot print an outcome: ",
+                marks=_int_limited,
+            ),
+            (["run", "ok.rpl"], "broken pipe", 4, False, OUTPUT),
+            (["check", "ok.rpl"], "broken pipe", 4, False, OUTPUT),
+            (
+                ["run", "ok.rpl"],
+                ("enumerate_outcomes", RuntimeError("boom")),
+                5,
+                False,
+                INTERNAL,
+            ),
+            (
+                ["check", "ok.rpl"],
+                ("parse_program", RuntimeError("boom")),
+                5,
+                False,
+                INTERNAL,
+            ),
+        ],
+        ids=[
+            "missing-run",
+            "missing-check",
+            "directory-run",
+            "directory-check",
+            "not-utf8-run",
+            "not-utf8-check",
+            "not-utf8-input",
+            "bad-define",
+            "bad-top",
+            "bad-max-rank",
+            "bad-iter-limit",
+            "parse-run",
+            "parse-check",
+            "runtime",
+            "runtime-after-output",
+            "budget-exhausted",
+            "unprintable-integer",
+            "failing-writer-run",
+            "failing-writer-check",
+            "internal-run",
+            "internal-check",
+        ],
+    )
+    def test_contract(
+        self, tmp_path, monkeypatch, argv, patch, code, printed, prefix
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ok.rpl").write_text("x := 1;\n")
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "latin1.rpl").write_bytes(b"x := 1; // caf\xe9\n")
+        (tmp_path / "latin1.input").write_bytes(b"a = 1 // caf\xe9\n")
+        (tmp_path / "syntax.rpl").write_text("x := ;\n")
+        (tmp_path / "late.rpl").write_text(self.LATE)
+        (tmp_path / "times10.rpl").write_text("x := a * 10;\n")
+        out, err = io.StringIO(), io.StringIO()
+        if patch == "broken pipe":
+            out = _BrokenPipe()
+        elif patch is not None:
+            name, exc = patch
+            monkeypatch.setattr(rankpl.cli, name, _raising(exc))
+        assert rankpl.cli.main(argv, out=out, err=err) == code
+        assert bool(out.getvalue()) == printed
+        line = err.getvalue()
+        assert line.startswith(prefix)
+        assert line.count("\n") == 1 and line.endswith("\n")
 
 
 class TestCheck:
