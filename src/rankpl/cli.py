@@ -193,18 +193,19 @@ def binding_prelude(defines: dict):
 # -- output ---------------------------------------------------------------------
 
 
-def _line_bindings(valuation, projection):
-    """(label, value) pairs for one output line.
+def _line_bindings(items, names):
+    """(label, value) pairs for one output line of ``items``, a state's
+    bindings as ``Valuation.items``.
 
-    Projected names always appear (scalars default to 0); indexed variables
-    contribute their bound entries.  Without a projection, all non-zero
-    bindings are shown.
+    Projected ``names`` (sorted) always appear (scalars default to 0);
+    indexed variables contribute their bound entries.  Without a
+    projection, all non-zero bindings are shown.
     """
-    if projection is None:
-        return [(format_binding(k), v) for k, v in valuation.items]
+    if names is None:
+        return [(format_binding(k), v) for k, v in items]
     parts = []
-    for name in sorted(projection):
-        bound = [(k, v) for k, v in valuation.items if k[0] == name]
+    for name in names:
+        bound = [(k, v) for k, v in items if k[0] == name]
         if bound:
             parts.extend((format_binding(k), v) for k, v in bound)
         else:
@@ -212,9 +213,9 @@ def _line_bindings(valuation, projection):
     return parts
 
 
-def _emit(out, rank, valuation, projection, fmt):
+def _emit(out, rank, items, names, fmt):
     try:
-        pairs = _line_bindings(valuation, projection)
+        pairs = _line_bindings(items, names)
         if fmt == "records":
             record = {"rank": rank, "bindings": {label: v for label, v in pairs}}
             line = json.dumps(record, sort_keys=True)
@@ -251,15 +252,16 @@ def _read_defines(args) -> dict:
 
 
 def _fresh(stream, projection):
-    """``(rank, state)`` for each outcome whose projected state is new."""
+    """``(rank, items)`` for each outcome whose projected bindings, as
+    ``Valuation.items``, are new; tuples hash and compare in C."""
     seen = set()
     for outcome in stream:
-        state = outcome.valuation
+        items = outcome.valuation.items
         if projection is not None:
-            state = state.restrict(projection)
-        if state not in seen:
-            seen.add(state)
-            yield outcome.rank, state
+            items = tuple(item for item in items if item[0][0] in projection)
+        if items not in seen:
+            seen.add(items)
+            yield outcome.rank, items
 
 
 def cmd_run(args, out) -> int:
@@ -270,9 +272,9 @@ def cmd_run(args, out) -> int:
     if args.top is not None and args.top < 0:
         raise InputError("--top must be non-negative")
     if args.max_rank is not None and args.max_rank < 0:
-        raise InputError("max_rank must be a rank")
+        raise InputError("--max-rank must be non-negative")
     if args.iter_limit <= 0:
-        raise InputError("max_while_iterations must be positive")
+        raise InputError("--iter-limit must be positive")
     options = SearchOptions(
         max_rank=INF if args.max_rank is None else args.max_rank,
         max_while_iterations=args.iter_limit,
@@ -282,14 +284,15 @@ def cmd_run(args, out) -> int:
         projection = {
             _variable_name(name) for name in args.project.split(",") if name.strip()
         }
+    names = None if projection is None else sorted(projection)
     stream = enumerate_outcomes(Seq(binding_prelude(defines), program), options)
     emitted = 0
     for rank, group in groupby(_fresh(stream, projection), key=itemgetter(0)):
         # a rank's outcomes arrive sorted; a projection can reorder them
-        for _, state in sorted(group):
+        for _, items in sorted(group):
             if args.top is not None and emitted >= args.top:
                 return EXIT_OK
-            _emit(out, rank, state, projection, args.format)
+            _emit(out, rank, items, names, args.format)
             emitted += 1
     if stream.failed:
         out.write(FAILED_LINES[args.format] + "\n")

@@ -23,6 +23,14 @@ between two of them.  Both test their condition once per state.  At an
 infinite budget nothing is pruned and the result is exact; ``run_program``
 and ``denote`` without a limit are that exact run.
 
+Each evaluation site (an observation, a guard, a choice offset, an assigned
+value, a graded observation's truth table, a ``rank(b)`` scan) evaluates its
+expression on every state of its slice.  Once the slice holds
+``_COMPILE_AT`` states, the expression is compiled to a Python function,
+once per run, and evaluated through it; a narrower site calls
+``_eval_num``/``_holds`` directly, so small runs never pay for a compile.
+Trees deeper than ``_COMPILE_DEPTH`` stay interpreted.  No option sets this.
+
 A bounded run (finite ``max_rank`` or ``max_outcomes``) runs the program
 repeatedly under a rank budget that at least doubles per round, pruning
 every choice alternative whose accumulated rank exceeds the budget, and
@@ -176,12 +184,13 @@ class _Partial:
 
 
 class _Round:
-    __slots__ = ("budget", "iteration_limit", "min_pruned")
+    __slots__ = ("budget", "iteration_limit", "min_pruned", "compiled")
 
     def __init__(self, budget: int, iteration_limit: int):
         self.budget = budget
         self.iteration_limit = iteration_limit
         self.min_pruned = None
+        self.compiled = {}  # see ``_evaluator``; shared by a run's rounds
 
     def note_pruned(self, rank: int):
         if self.min_pruned is None or rank < self.min_pruned:
@@ -201,15 +210,30 @@ class _Round:
 # -- expressions over partial rankings ---------------------------------------
 
 
-def _trunc_div(a: int, b: int, pos) -> int:
+def _minus(a, b, pos):
+    try:
+        return a - b
+    except RankArithmeticError:
+        raise EvalError("undefined-infinity-arith", pos, "subtracting inf") from None
+
+
+def _times(a, b, pos):
+    if a is INF or b is INF:
+        raise EvalError("undefined-infinity-arith", pos, "inf in '*'")
+    return a * b
+
+
+def _trunc_mod(a, b, pos, op: str = "%") -> int:
+    if a is INF or b is INF:
+        raise EvalError("undefined-infinity-arith", pos, f"inf in '{op}'")
     if b == 0:
         raise EvalError("division-by-zero", pos)
-    q = abs(a) // abs(b)
-    return -q if (a < 0) != (b < 0) else q
+    r = abs(a) % abs(b)
+    return -r if a < 0 else r
 
 
-def _trunc_mod(a: int, b: int, pos) -> int:
-    return a - _trunc_div(a, b, pos) * b
+def _trunc_div(a, b, pos) -> int:
+    return (a - _trunc_mod(a, b, pos, "/")) // b  # b divides a - r exactly
 
 
 def _bit_op(op: str, a, b, pos) -> int:
@@ -222,38 +246,27 @@ def _bit_op(op: str, a, b, pos) -> int:
     return a | b
 
 
-def _apply_binop(op: str, a, b, pos):
-    """Value arithmetic: integers plus an absorbing infinity where defined.
-    ``+`` and ``-`` are the rank arithmetic of ``INF``'s own operators."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        try:
-            return a - b
-        except RankArithmeticError:
-            raise EvalError(
-                "undefined-infinity-arith", pos, "subtracting inf"
-            ) from None
-    if op in ("xor", "band", "bor"):
-        return _bit_op(op, a, b, pos)
-    if a is INF or b is INF:
-        raise EvalError("undefined-infinity-arith", pos, f"inf in '{op}'")
-    if op == "*":
-        return a * b
-    if op == "/":
-        return _trunc_div(a, b, pos)
-    if op == "%":
-        return _trunc_mod(a, b, pos)
-    raise AssertionError(f"unknown operator {op!r}")
+#: each operator but ``+`` as a function of ``(a, b, pos)``; ``+`` and ``-``
+#: are the rank arithmetic of ``INF``'s own operators
+_BINOPS = {
+    "-": _minus,
+    "*": _times,
+    "/": _trunc_div,
+    "%": _trunc_mod,
+    **{op: functools.partial(_bit_op, op) for op in ("xor", "band", "bor")},
+}
+
+
+def _index(value, pos) -> int:
+    if value is INF:
+        raise EvalError("undefined-infinity-arith", pos, "inf as array index")
+    return value
 
 
 def _indices(sigma: Valuation, partial: _Partial, exprs: tuple, pos) -> tuple:
     indices = []
     for ix in exprs:
-        value = _eval_num(sigma, partial, ix)
-        if value is INF:
-            raise EvalError("undefined-infinity-arith", pos, "inf as array index")
-        indices.append(value)
+        indices.append(_index(_eval_num(sigma, partial, ix), pos))
     return tuple(indices)
 
 
@@ -265,7 +278,7 @@ def _eval_num(sigma: Valuation, partial: _Partial, e: NumExpr):
         right = _eval_num(sigma, partial, e.right)
         if e.op == "+":
             return left + right
-        return _apply_binop(e.op, left, right, e.pos)
+        return _BINOPS[e.op](left, right, e.pos)
     if t is Var:
         if not e.indices:
             return sigma.get(e.name)
@@ -273,25 +286,26 @@ def _eval_num(sigma: Valuation, partial: _Partial, e: NumExpr):
     if t is IntLit:
         return e.value
     if t is RankOf:
-        # the value depends on the ranking alone, so scan it once per node;
-        # nodes are keyed by identity, as hashing one hashes its whole tree
-        value = partial.ranks.get(id(e))
-        if value is None:
-            value = partial.ranks[id(e)] = _rank_of(partial, e.cond)
-        return value
+        return _rank(partial, e)
     raise TypeError(f"not a numeric expression: {e!r}")
 
 
-def _rank_of(partial: _Partial, cond: BoolExpr):
-    least = None
-    for state, rank in partial.entries.items():
-        if (least is None or rank < least) and _holds(state, partial, cond):
-            least = rank
+def _rank(partial: _Partial, e: RankOf, compiled: dict | None = None):
+    # the value depends on the ranking alone, so scan it once per node;
+    # nodes are keyed by identity, as hashing one hashes its whole tree
+    least = partial.ranks.get(id(e))
     if least is not None:
         return least
-    if partial.bound is INF:
-        return INF
-    raise _InsufficientBudget  # the true rank hides above the bound
+    holds = _evaluator(e.cond, partial.entries, compiled, _holds)
+    for state, rank in partial.entries.items():
+        if (least is None or rank < least) and holds(state, partial, e.cond):
+            least = rank
+    if least is None:
+        if partial.bound is not INF:
+            raise _InsufficientBudget  # the true rank hides above the bound
+        least = INF
+    partial.ranks[id(e)] = least
+    return least
 
 
 def _holds(sigma: Valuation, partial: _Partial, b: BoolExpr) -> bool:
@@ -312,6 +326,79 @@ def _holds(sigma: Valuation, partial: _Partial, b: BoolExpr) -> bool:
     if t is Or:
         return _holds(sigma, partial, b.left) or _holds(sigma, partial, b.right)
     raise TypeError(f"not a boolean expression: {b!r}")
+
+
+# -- compiled expressions ------------------------------------------------------
+
+#: a site whose slice holds at least this many states evaluates compiled; a
+#: compile costs about as much as 30 interpreted evaluations
+_COMPILE_AT = 64
+#: deeper trees stay interpreted: CPython's parser takes at most 200 nested
+#: parentheses, and a tree level costs at most four
+_COMPILE_DEPTH = 40
+
+
+def _evaluator(e, entries: dict, compiled: dict | None, interpreted):
+    """What evaluates ``e`` on the states of ``entries`` as ``interpreted``
+    (``_eval_num`` or ``_holds``) does: that function itself on fewer than
+    ``_COMPILE_AT`` states or without a run's cache ``compiled``, else ``e``
+    compiled, once per run."""
+    if compiled is None or len(entries) < _COMPILE_AT:
+        return interpreted
+    fn = compiled.get(id(e))
+    if fn is None:
+        fn = compiled[id(e)] = _compile(e, compiled) or interpreted
+    return fn
+
+
+def _compile(e, compiled: dict):
+    """``e`` as a Python function of ``(sigma, partial, e)``, or None, to stay
+    interpreted, for a tree deeper than ``_COMPILE_DEPTH``.  The source holds
+    only operators and the names of constants: values, names, positions and
+    nodes are looked up in its namespace.  ``+`` and the comparisons apply as
+    in ``_eval_num`` and ``_holds``; every other operator calls their helpers."""
+    space = {"_index": _index, "_rank": _rank, "compiled": compiled}
+
+    def const(value):
+        name = f"c{len(space)}"
+        space[name] = value
+        return name
+
+    def code(e, kind, depth):
+        if depth > _COMPILE_DEPTH or not isinstance(e, kind):
+            raise TypeError  # too deep, or a node the interpreter rejects
+        t, depth = type(e), depth + 1
+        if t is BinOp or t is Cmp:
+            left, right = code(e.left, NumExpr, depth), code(e.right, NumExpr, depth)
+            if t is Cmp:
+                op = "==" if e.op == "==" else "<" if e.op == "<" else "<="
+                return f"({left} {op} {right})"
+            if e.op == "+":
+                return f"({left} + {right})"
+            return f"{const(_BINOPS[e.op])}({left}, {right}, {const(e.pos)})"
+        if t is Var:
+            if not e.indices:
+                return f"get({const((e.name, ()))}, 0)"
+            at = const(e.pos)
+            ix = [f"_index({code(i, NumExpr, depth)}, {at}), " for i in e.indices]
+            return f"get(({const(e.name)}, ({''.join(ix)})), 0)"
+        if t is IntLit:
+            return const(e.value)
+        if t is RankOf:
+            return f"_rank(partial, {const(e)}, compiled)"
+        if t is Not:
+            return f"(not {code(e.operand, BoolExpr, depth)})"
+        if t is And or t is Or:
+            left, right = code(e.left, BoolExpr, depth), code(e.right, BoolExpr, depth)
+            return f"({left} {'and' if t is And else 'or'} {right})"
+        raise TypeError
+
+    try:
+        body = code(e, BoolExpr if isinstance(e, BoolExpr) else NumExpr, 0)
+    except (TypeError, KeyError):
+        return None
+    exec(f"def f(sigma, partial, e):\n get = sigma._map.get\n return {body}", space)
+    return space["f"]
 
 
 # -- budget-limited denotation -------------------------------------------------
@@ -491,17 +578,17 @@ def _j_offset(s, q: _Partial, rank_c, rank_not_c, sigma):
 
 def _taken_offset(s, q: _Partial, rank_b, rank_not_b, sigma):
     """observeL's offset where ``rank(b) <= n``: ``n - rank(b) + rank(!b)``."""
-    diff = _apply_binop("-", _eval_num(sigma, q, s.strength), rank_b, s.pos)
+    diff = _minus(_eval_num(sigma, q, s.strength), rank_b, s.pos)
     if rank_not_b is None:
         raise _InsufficientBudget
-    return _apply_binop("+", diff, rank_not_b, s.pos)
+    return diff + rank_not_b
 
 
 def _flipped_offset(s, q: _Partial, rank_not_b, rank_b, sigma):
     """observeL's offset where ``n < rank(b)``, with c = !b: ``rank(b) - n``."""
     if rank_b is None:
         raise _InsufficientBudget
-    return _apply_binop("-", rank_b, _eval_num(sigma, q, s.strength), s.pos)
+    return _minus(rank_b, _eval_num(sigma, q, s.strength), s.pos)
 
 
 def _revise(s, truths, holds: bool, offset, q: _Partial, ctx: _Round) -> _Partial:
@@ -525,7 +612,8 @@ def _revise(s, truths, holds: bool, offset, q: _Partial, ctx: _Round) -> _Partia
 def _observe_graded(s, p: _Partial, ctx: _Round) -> _Partial:
     """observeJ or observeL on ``p``: check that the condition and its
     negation both have finite rank, then run the lowering's steps."""
-    truth = {sigma: _holds(sigma, p, s.cond) for sigma in p.entries}
+    holds = _evaluator(s.cond, p.entries, ctx.compiled, _holds)
+    truth = {sigma: holds(sigma, p, s.cond) for sigma in p.entries}
     holders = sum(truth.values())
     if holders == 0 or holders == len(truth):
         if p.bound is INF:
@@ -541,7 +629,8 @@ def _observe_graded(s, p: _Partial, ctx: _Round) -> _Partial:
         """Whether the condition holds, per state of ``p`` or of a slice."""
         if q is p or not reads_rank:
             return truth
-        return {sigma: _holds(sigma, q, s.cond) for sigma in q.entries}
+        holds = _evaluator(s.cond, q.entries, ctx.compiled, _holds)
+        return {sigma: holds(sigma, q, s.cond) for sigma in q.entries}
 
     if isinstance(s, ObserveJ):
         return _revise(s, truths, True, _j_offset, p, ctx)
@@ -576,12 +665,14 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
         if isinstance(s, (Assign, UniformPick)):
             # any_of assigns every value of its range at the state's own rank
             entries: dict[Valuation, int] = {}
+            if isinstance(s, Assign):
+                evaluate = _evaluator(s.value, p.entries, ctx.compiled, _eval_num)
             for sigma, rank in p.entries.items():
-                indices = _indices(sigma, p, s.indices, s.pos)
+                indices = _indices(sigma, p, s.indices, s.pos) if s.indices else ()
                 if isinstance(s, UniformPick):
                     values = range(s.lower, s.upper + 1)
                 else:
-                    values = (_eval_num(sigma, p, s.value),)
+                    values = (evaluate(sigma, p, s.value),)
                     if values[0] is INF:
                         raise EvalError(
                             "undefined-infinity-arith",
@@ -596,16 +687,18 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
             return _Partial(entries, p.bound)
 
         if isinstance(s, Observe):
+            holds = _evaluator(s.cond, p.entries, ctx.compiled, _holds)
             kept = {
                 sigma: rank
                 for sigma, rank in p.entries.items()
-                if _holds(sigma, p, s.cond)
+                if holds(sigma, p, s.cond)
             }
             return _normalized(kept, p.bound)
 
         if isinstance(s, IfThenElse):
+            holds = _evaluator(s.cond, p.entries, ctx.compiled, _holds)
             return _branch(
-                functools.partial(_holds, partial=p, b=s.cond),
+                lambda sigma: holds(sigma, p, s.cond),
                 functools.partial(_denote, s.then_branch),
                 functools.partial(_denote, s.else_branch),
                 p,
@@ -614,9 +707,10 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
             )
 
         if isinstance(s, RankedChoice):
+            evaluate = _evaluator(s.rank, p.entries, ctx.compiled, _eval_num)
             return _choice(
                 _denote(s.first, p, ctx),
-                functools.partial(_eval_num, partial=p, e=s.rank),
+                lambda sigma: evaluate(sigma, p, s.rank),
                 functools.partial(_denote, s.second),
                 p,
                 s.pos,
@@ -628,7 +722,8 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
             iteration = 0
             while True:
                 iteration += 1
-                guard = functools.partial(_holds, partial=p, b=s.cond)
+                holds = _evaluator(s.cond, p.entries, ctx.compiled, _holds)
+                guard = lambda sigma: holds(sigma, p, s.cond)
                 stepped = _branch(guard, body, None, p, s.pos, ctx, iteration)
                 if stepped is None:
                     # nothing visible satisfies the guard; hidden states churn
@@ -657,8 +752,10 @@ def _stream(stream: OutcomeStream, program: Stmt, prior: dict, opts: SearchOptio
     # one round at infinite budget prunes nothing and is the exact result
     unbounded = opts.max_rank is INF and opts.max_outcomes is None
     budget = INF if unbounded else 0
+    compiled = {}
     while True:
         ctx = _Round(budget, opts.max_while_iterations)
+        ctx.compiled = compiled
         try:
             result = _denote(program, _Partial(prior, INF), ctx)
         except _InsufficientBudget:

@@ -114,15 +114,17 @@ def test_ac04_regular_conditioning_fails():
     report(4, "strict conditioning: alive through k=2, failure at the third iteration")
 
 
-def random_instance(rng, values=range(12), max_rank=8):
-    """A ranking over ``v`` plus a condition with both sides possible."""
+def random_instance(rng, values=range(12), max_rank=8, sizes=(2, 7)):
+    """A ranking over ``v`` plus a condition with both sides possible; the
+    ranking holds from ``sizes[0]`` up to, not including, ``sizes[1]`` of
+    the ``values``."""
     while True:
-        size = rng.randrange(2, 7)
+        size = rng.randrange(*sizes)
         chosen = rng.sample(list(values), size)
         ranks = sorted(rng.randrange(0, max_rank) for _ in range(size))
         ranks[0] = 0
         kappa = Ranking({val(v=n): r for n, r in zip(chosen, ranks)})
-        cut = rng.randrange(0, 12)
+        cut = rng.randrange(0, len(values))
         op = rng.choice(["<", "=="])
         cond = Cmp(op, Var("v"), IntLit(cut))
         sats = frozenset(

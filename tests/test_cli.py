@@ -371,6 +371,18 @@ class TestRun:
         )
         assert code == 4 and "enum" in err
 
+    @pytest.mark.parametrize(
+        "option, line",
+        [
+            (["--top", "-1"], "input error: --top must be non-negative\n"),
+            (["--max-rank", "-1"], "input error: --max-rank must be non-negative\n"),
+            (["--iter-limit", "0"], "input error: --iter-limit must be positive\n"),
+        ],
+    )
+    def test_a_bad_option_value_names_the_option(self, programs, option, line):
+        code, out, err = run_cli(["run", str(programs / "intro.rpl"), *option])
+        assert (code, out, err) == (4, "", line)
+
     def test_missing_comma_in_define_is_an_input_error(self, tmp_path):
         path = tmp_path / "a.rpl"
         path.write_text("x := a[1];\n")

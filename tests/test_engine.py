@@ -484,24 +484,46 @@ class TestBudgets:
         assert budgets == rounds
 
 
+#: the 200 states of the counting tests' slices are too few to compile on
+#: the first path and enough on the second
+COMPILE_AT = {"interpreted": 201, "compiled": 200}
+
+
 def run_counted(monkeypatch, interpreter, source):
-    """Run ``source`` through one entry point and count the comparisons: the
-    ``Cmp`` nodes that ``_holds`` tests.  observeL's guard compares numbers
-    directly and is not counted."""
-    calls = [0]
-    holds = rankpl.engine._holds
+    """Run ``source`` through one entry point on both paths and count the
+    evaluations on each: the ``Cmp`` nodes that ``_holds`` tests, and the
+    calls of compiled expressions, each of which stands for at least one
+    comparison or rank.  observeL's guard compares numbers directly and is
+    not counted.  Yields the result and the count of each path in turn."""
+    for path, compile_at in COMPILE_AT.items():
+        calls = {"interpreted": 0, "compiled": 0}
+        holds, compile_ = rankpl.engine._holds, rankpl.engine._compile
 
-    def counting_holds(sigma, partial, b):
-        calls[0] += type(b) is rankpl.syntax.Cmp
-        return holds(sigma, partial, b)
+        def counting_holds(sigma, partial, b):
+            calls["interpreted"] += type(b) is rankpl.syntax.Cmp
+            return holds(sigma, partial, b)
 
-    monkeypatch.setattr(rankpl.engine, "_holds", counting_holds)
-    program = parse_program(source)
-    if interpreter == "enumerate_outcomes":
-        result = collect(enumerate_outcomes(program))
-    else:
-        result = run_program(program)
-    return result, calls[0]
+        def counting_compile(e, compiled):
+            fn = compile_(e, compiled)
+
+            def counted(sigma, partial, e):
+                calls["compiled"] += 1
+                return fn(sigma, partial, e)
+
+            return counted
+
+        with monkeypatch.context() as patch:
+            patch.setattr(rankpl.engine, "_holds", counting_holds)
+            patch.setattr(rankpl.engine, "_compile", counting_compile)
+            patch.setattr(rankpl.engine, "_COMPILE_AT", compile_at)
+            program = parse_program(source)
+            if interpreter == "enumerate_outcomes":
+                result = collect(enumerate_outcomes(program))
+            else:
+                result = run_program(program)
+        # each path really ran: nothing compiles on the first
+        assert (calls["compiled"] > 0) == (path == "compiled")
+        yield result, calls["interpreted"] + calls["compiled"]
 
 
 class TestRankOfOncePerRanking:
@@ -520,38 +542,38 @@ class TestRankOfOncePerRanking:
 
     @pytest.mark.parametrize("interpreter", ["run_program", "enumerate_outcomes"])
     def test_choice_offset(self, monkeypatch, interpreter):
-        result, calls = run_counted(
-            monkeypatch,
-            interpreter,
-            "x := any_of(0 .. 199); "
-            "either { skip; } or (rank(x > 196) + 1) { x := x + 1; };",
-        )
         offset = rank_of(self.PRIOR, self.EVENT) + 1
         moved = {
             Valuation({"x": v.get("x") + 1}): r + offset
             for v, r in self.PRIOR.items()
         }
-        assert result == normalize(min_merge(self.PRIOR.as_dict(), moved))
-        assert calls < 5 * self.N
+        for result, calls in run_counted(
+            monkeypatch,
+            interpreter,
+            "x := any_of(0 .. 199); "
+            "either { skip; } or (rank(x > 196) + 1) { x := x + 1; };",
+        ):
+            assert result == normalize(min_merge(self.PRIOR.as_dict(), moved))
+            assert calls < 5 * self.N
 
     @pytest.mark.parametrize("interpreter", ["run_program", "enumerate_outcomes"])
     def test_observe_l(self, monkeypatch, interpreter):
         # one pass tests the condition per state and serves the precondition,
         # every split of b from !b and every rank(b); the guard rank(b) <= 2
         # compares once per state too, outside ``_holds``
-        result, calls = run_counted(
+        for result, calls in run_counted(
             monkeypatch, interpreter, "x := any_of(0 .. 199); observeL(2, x > 196);"
-        )
-        assert result == l_condition(self.PRIOR, self.EVENT, 2)
-        assert calls < 3 * self.N
+        ):
+            assert result == l_condition(self.PRIOR, self.EVENT, 2)
+            assert calls < 3 * self.N
 
     @pytest.mark.parametrize("interpreter", ["run_program", "enumerate_outcomes"])
     def test_observe_j(self, monkeypatch, interpreter):
-        result, calls = run_counted(
+        for result, calls in run_counted(
             monkeypatch, interpreter, "x := any_of(0 .. 199); observeJ(2, x > 196);"
-        )
-        assert result == j_condition(self.PRIOR, self.EVENT, 2)
-        assert calls < 3 * self.N
+        ):
+            assert result == j_condition(self.PRIOR, self.EVENT, 2)
+            assert calls < 3 * self.N
 
 
 class TestGradedObservations:
@@ -677,15 +699,15 @@ class TestWhileStep:
     def test_guard_is_tested_once_per_state(self, monkeypatch, interpreter):
         # 200 states, three of which run the body five times: six guard scans
         # of 200 + 3 comparisons each (a state with x > 196 also reads y < 5)
-        result, calls = run_counted(
+        for result, calls in run_counted(
             monkeypatch,
             interpreter,
             "x := any_of(0 .. 199); while x > 196 && y < 5 do { y := y + 1; };",
-        )
-        assert result == Ranking(
-            {Valuation({"x": x, "y": 5 if x > 196 else 0}): 0 for x in range(200)}
-        )
-        assert calls <= 1218
+        ):
+            assert result == Ranking(
+                {Valuation({"x": x, "y": 5 if x > 196 else 0}): 0 for x in range(200)}
+            )
+            assert calls <= 1218
 
     SOURCE = "x := 0; while x == 0 || 1 / (x - 1) == 0 do { x := 0 or(1) 1; };"
 
