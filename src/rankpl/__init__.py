@@ -63,10 +63,8 @@ from .syntax import (
 )
 from .parser import ParseError, Token, parse_program, tokenize
 from .engine import (
-    BudgetExhaustedError,
     EvalError,
     Outcome,
-    OutcomeStream,
     SearchOptions,
     denote,
     enumerate_outcomes,
@@ -129,10 +127,8 @@ __all__ = [
     "parse_program",
     "tokenize",
     # running programs
-    "BudgetExhaustedError",
     "EvalError",
     "Outcome",
-    "OutcomeStream",
     "SearchOptions",
     "denote",
     "enumerate_outcomes",

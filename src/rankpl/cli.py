@@ -23,12 +23,7 @@ import sys
 from itertools import groupby
 from operator import itemgetter
 
-from .engine import (
-    BudgetExhaustedError,
-    EvalError,
-    SearchOptions,
-    enumerate_outcomes,
-)
+from .engine import EvalError, SearchOptions, enumerate_outcomes
 from .parser import ParseError, _is_name, _lex, parse_program
 from .ranking import INF, format_binding
 from .syntax import Assign, IntLit, Seq, Skip
@@ -294,7 +289,9 @@ def cmd_run(args, out) -> int:
                 return EXIT_OK
             _emit(out, rank, items, names, args.format)
             emitted += 1
-    if stream.failed:
+    if emitted == 0:
+        # no outcome arrived (each one is printed or ends the run at --top),
+        # and only the failure ranking has none at any --max-rank
         out.write(FAILED_LINES[args.format] + "\n")
         return EXIT_FAILED
     return EXIT_OK
@@ -398,7 +395,7 @@ def main(argv=None, out=None, err=None) -> int:
         code, line = EXIT_IO, f"input error: {exc}"
     except ParseError as exc:
         code, line = EXIT_PARSE, f"{args.file}: parse error: {exc}"
-    except (EvalError, BudgetExhaustedError) as exc:
+    except EvalError as exc:
         code, line = EXIT_RUNTIME, f"runtime error: {exc}"
     except (OutputError, OSError) as exc:  # _read leaves only write failures
         code, line = EXIT_IO, f"output error: {exc}"

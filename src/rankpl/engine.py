@@ -50,7 +50,7 @@ Rounds whose visible states cannot decide an observation or rank expression
 are abandoned and retried with a larger budget.
 
 A ranking is an unordered map, and so are a round's entries.  Outcomes are
-ordered only where they leave the interpreter: ``_stream`` sorts them by
+ordered only where they leave the interpreter: ``_outcomes`` sorts them by
 ``(rank, valuation)``, ``Ranking`` by valuation, and the CLI each rank's
 projected lines.
 """
@@ -114,10 +114,6 @@ class EvalError(Exception):
         super().__init__(f"{kind}{where}{extra}")
 
 
-class BudgetExhaustedError(Exception):
-    """Enumeration ended at the rank cap without producing any outcome."""
-
-
 class _InsufficientBudget(Exception):
     """This round's visible states cannot settle the semantics; deepen."""
 
@@ -143,25 +139,6 @@ class SearchOptions:
 class Outcome:
     valuation: Valuation
     rank: int
-
-
-class OutcomeStream:
-    """Single-consumer stream of outcomes in nondecreasing rank order.
-
-    After exhaustion, ``failed`` tells whether the program's result was the
-    failure ranking (an empty stream without failure only happens under a
-    finite ``max_rank``).
-    """
-
-    def __init__(self, program: Stmt, prior: dict, opts: SearchOptions):
-        self.failed = False
-        self._outcomes = _stream(self, program, prior, opts)
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> Outcome:
-        return next(self._outcomes)
 
 
 class _Partial:
@@ -745,7 +722,7 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
 # -- runs --------------------------------------------------------------------
 
 
-def _stream(stream: OutcomeStream, program: Stmt, prior: dict, opts: SearchOptions):
+def _outcomes(program: Stmt, prior: dict, opts: SearchOptions):
     count = 0
     yielded = -1  # the outcomes ranked at or below this have been yielded
     # with every outcome wanted, deepening would only replay the program;
@@ -761,40 +738,39 @@ def _stream(stream: OutcomeStream, program: Stmt, prior: dict, opts: SearchOptio
         except _InsufficientBudget:
             budget = ctx.next_budget()
             continue
+        # a run yields nothing exactly when its result is the failure
+        # ranking: entries never exceed their bound and every step keeps a
+        # non-empty result's least rank at 0, so the first finished round
+        # with an entry yields a rank-0 one; an empty one's bound is infinite
         trusted = min(result.bound, opts.max_rank)
         # entries at or below an earlier round's bound were emitted then and
-        # are identical now, so fresh outcomes always rank above them
+        # are identical now, so fresh outcomes always rank above them; each
+        # (rank, items) is unique, so states are never compared
         fresh = sorted(
-            (rank, sigma)
+            (rank, sigma.items, sigma)
             for sigma, rank in result.entries.items()
             if yielded < rank <= trusted
         )
         yielded = max(yielded, trusted)
-        for rank, sigma in fresh:
+        for rank, _, sigma in fresh:
             yield Outcome(sigma, rank)
             count += 1
             if opts.max_outcomes is not None and count >= opts.max_outcomes:
                 return
         if result.bound is INF or trusted >= opts.max_rank:
-            if count == 0 and result.entries:
-                raise BudgetExhaustedError(
-                    f"no outcome within max rank {opts.max_rank}"
-                )
-            # a complete empty slice means no rank-0 state exists at all,
-            # which only the failure ranking allows
-            stream.failed = count == 0
             return
         budget = ctx.next_budget()
 
 
-def enumerate_outcomes(s: Stmt, opts: SearchOptions | None = None) -> OutcomeStream:
-    """Enumerate program outcomes most-plausible-first.
+def enumerate_outcomes(s: Stmt, opts: SearchOptions | None = None):
+    """A generator of the program's outcomes, most-plausible-first.
 
     Yields every outcome of rank at most ``opts.max_rank`` exactly once, in
     nondecreasing rank order, matching ``run_program``'s result whenever
-    that run terminates without error.  Raises :class:`EvalError` on a
-    runtime error, or :class:`BudgetExhaustedError` if a finite ``max_rank``
-    cuts enumeration off before anything could be proven.
+    that run terminates without error.  It yields nothing exactly when the
+    result is the failure ranking, whose support is empty: every other
+    ranking holds a state at rank 0.  Raises :class:`EvalError` on a
+    runtime error.
 
     With a finite ``max_rank`` or a ``max_outcomes`` the program runs
     repeatedly under a doubling rank budget and outcomes stream out as soon
@@ -802,7 +778,7 @@ def enumerate_outcomes(s: Stmt, opts: SearchOptions | None = None) -> OutcomeStr
     follow some outcomes.  Without either limit the program runs once,
     exactly, and nothing is yielded before that run completes.
     """
-    return OutcomeStream(s, {Valuation(): 0}, opts or SearchOptions())
+    return _outcomes(s, {Valuation(): 0}, opts or SearchOptions())
 
 
 def initial_ranking() -> Ranking:
@@ -824,8 +800,7 @@ def denote(s: Stmt, kappa: Ranking, opts: SearchOptions | None = None) -> Rankin
             s, _Partial(prior, INF), _Round(INF, opts.max_while_iterations)
         ).entries
     else:
-        entries = {o.valuation: o.rank for o in OutcomeStream(s, prior, opts)}
-    # a failed stream yields nothing, and an empty one that ends has failed
+        entries = {o.valuation: o.rank for o in _outcomes(s, prior, opts)}
     return Ranking(entries) if entries else FAILURE
 
 

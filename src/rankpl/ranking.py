@@ -236,7 +236,8 @@ class Ranking:
                 raise ValueError(f"rank out of range: {rank}")
         if entries and min(entries.values()) != 0:
             raise ValueError("ranking is not normalized: minimum rank is not 0")
-        self._entries = dict(sorted(entries.items()))
+        # keyed on the tuples Valuation orders by, which compare in C
+        self._entries = dict(sorted(entries.items(), key=lambda e: e[0].items))
 
     @property
     def is_failure(self) -> bool:

@@ -6,7 +6,6 @@ import pytest
 
 import rankpl.cli
 from conftest import LOCALIZATION_ARGS, run_cli
-from rankpl.engine import BudgetExhaustedError
 
 
 #: the most digits int() converts (sys.get_int_max_str_digits)
@@ -86,6 +85,27 @@ class TestRun:
         code, out, _ = run_cli(["run", str(path), "--format", "records"])
         assert code == 1
         assert [json.loads(line) for line in out.splitlines()] == [{"failed": True}]
+
+    FAILED = "failed (observation ruled out all possibilities)\n"
+    RECORD = '{"failed": true}\n'
+
+    @pytest.mark.parametrize(
+        "source, options, code, out",
+        [
+            ("observe 1 == 2;", ["--top", "0"], 1, FAILED),
+            ("observe 1 == 2;", ["--top", "0", "--format", "records"], 1, RECORD),
+            ("observe 1 == 2;", ["--max-rank", "0"], 1, FAILED),
+            ("x := 1;", ["--top", "0"], 0, ""),
+        ],
+        ids=["failure-top-0", "failure-top-0-records", "failure-max-rank-0", "top-0"],
+    )
+    def test_failure_line_is_printed_when_no_outcome_arrives(
+        self, tmp_path, source, options, code, out
+    ):
+        # --top 0 prints no outcome, yet the failure ranking still reports
+        path = tmp_path / "prog.rpl"
+        path.write_text(source + "\n")
+        assert run_cli(["run", str(path), *options]) == (code, out, "")
 
     def test_runtime_error_exit_code(self, tmp_path):
         path = tmp_path / "div.rpl"
@@ -581,13 +601,6 @@ class TestExitCodes:
             (["check", "syntax.rpl"], None, 2, False, "syntax.rpl: parse error: "),
             (["run", "late.rpl"], None, 3, False, RUNTIME),
             (["run", "late.rpl", "--max-rank", "5"], None, 3, True, RUNTIME),
-            (
-                ["run", "ok.rpl"],
-                ("enumerate_outcomes", BudgetExhaustedError("no outcome")),
-                3,
-                False,
-                RUNTIME,
-            ),
             pytest.param(
                 ["run", "times10.rpl", "--define", f"a={'9' * _MAX_DIGITS}"],
                 None,
@@ -629,7 +642,6 @@ class TestExitCodes:
             "parse-check",
             "runtime",
             "runtime-after-output",
-            "budget-exhausted",
             "unprintable-integer",
             "failing-writer-run",
             "failing-writer-check",
