@@ -188,34 +188,33 @@ def binding_prelude(defines: dict):
 # -- output ---------------------------------------------------------------------
 
 
-def _line_bindings(items, names):
-    """(label, value) pairs for one output line of ``items``, a state's
-    bindings as ``Valuation.items``.
+class _Texts(dict):
+    """The ``label=value`` text of each binding printed, made once per run."""
+
+    def __missing__(self, item):
+        key, value = item
+        text = self[item] = f"{format_binding(key)}={value}"
+        return text
+
+
+def _emit(out, rank, items, names, fmt, texts):
+    """Print one outcome, ``items`` its bindings as ``Valuation.items``.
 
     Projected ``names`` (sorted) always appear (scalars default to 0);
     indexed variables contribute their bound entries.  Without a
     projection, all non-zero bindings are shown.
     """
-    if names is None:
-        return [(format_binding(k), v) for k, v in items]
-    parts = []
-    for name in names:
-        bound = [(k, v) for k, v in items if k[0] == name]
-        if bound:
-            parts.extend((format_binding(k), v) for k, v in bound)
-        else:
-            parts.append((name, 0))
-    return parts
-
-
-def _emit(out, rank, items, names, fmt):
     try:
-        pairs = _line_bindings(items, names)
+        if names is not None:
+            bound = {key[0] for key, _ in items}
+            if len(bound) < len(names):
+                unbound = [((name, ()), 0) for name in names if name not in bound]
+                items = sorted(items + tuple(unbound))
         if fmt == "records":
-            record = {"rank": rank, "bindings": {label: v for label, v in pairs}}
-            line = json.dumps(record, sort_keys=True)
+            bindings = {format_binding(key): value for key, value in items}
+            line = json.dumps({"rank": rank, "bindings": bindings}, sort_keys=True)
         else:
-            shown = ", ".join(f"{label}={v}" for label, v in pairs)
+            shown = ", ".join(map(texts.__getitem__, items))
             line = f"rank {rank}: {shown or '(all variables 0)'}"
     except ValueError as exc:
         # int() refuses to print more than sys.get_int_max_str_digits() digits
@@ -281,13 +280,13 @@ def cmd_run(args, out) -> int:
         }
     names = None if projection is None else sorted(projection)
     stream = enumerate_outcomes(Seq(binding_prelude(defines), program), options)
-    emitted = 0
+    emitted, texts = 0, _Texts()
     for rank, group in groupby(_fresh(stream, projection), key=itemgetter(0)):
         # a rank's outcomes arrive sorted; a projection can reorder them
         for _, items in sorted(group):
             if args.top is not None and emitted >= args.top:
                 return EXIT_OK
-            _emit(out, rank, items, names, args.format)
+            _emit(out, rank, items, names, args.format, texts)
             emitted += 1
     if emitted == 0:
         # no outcome arrived (each one is printed or ends the run at --top),

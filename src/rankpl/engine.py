@@ -30,6 +30,18 @@ expression on every state of its slice.  Once the slice holds
 once per run, and evaluated through it; a narrower site calls
 ``_eval_num``/``_holds`` directly, so small runs never pay for a compile.
 Trees deeper than ``_COMPILE_DEPTH`` stay interpreted.  No option sets this.
+The code of a compiled expression is kept process-wide, keyed on its source,
+so a later run that generates the same source does not compile it again.
+
+Inside a run a state is a plain tuple, laid out once per run by ``_layout``:
+one slot per scalar the run can bind (those its prior binds and those the
+program assigns without indices), in sorted order of their names, then a
+last slot that holds the state's array elements as a ``Valuation``, or None
+when it has none.  Dicts of states hash and compare in C; a scalar
+assignment is a tuple slice that shares the elements by reference; a name
+without a slot reads 0.  States become ``Valuation``s only where they leave
+the interpreter: as the ``Outcome``s of ``_outcomes`` and the ``Ranking`` of
+``denote``.
 
 A bounded run (finite ``max_rank`` or ``max_outcomes``) runs the program
 repeatedly under a rank budget that at least doubles per round, pruning
@@ -141,20 +153,71 @@ class Outcome:
     rank: int
 
 
+# -- states ----------------------------------------------------------------------
+
+#: the array elements of a state that has none
+_NO_ELEMENTS = Valuation()
+
+
+def _layout(program: Stmt, prior: dict) -> dict:
+    """The slot of each scalar a run can bind, by name, in sorted order: the
+    names ``prior`` binds without indices and those ``program`` assigns
+    without indices."""
+    names = {key[0] for sigma in prior for key, _ in sigma.items if not key[1]}
+    pending = [program]
+    while pending:
+        s = pending.pop()
+        t = type(s)  # nodes are final
+        if t is Seq or t is RankedChoice:
+            pending += (s.first, s.second)
+        elif t is Assign or t is UniformPick:
+            if not s.indices:
+                names.add(s.name)
+        elif t is IfThenElse:
+            pending += (s.then_branch, s.else_branch)
+        elif t is While:
+            pending.append(s.body)
+    return {name: slot for slot, name in enumerate(sorted(names))}
+
+
+def _state(valuation: Valuation, slots: dict) -> tuple:
+    """``valuation`` as a state laid out by ``slots``."""
+    state = [0] * len(slots)
+    elements = []
+    for key, value in valuation.items:
+        if key[1]:
+            elements.append((key, value))
+        else:
+            state[slots[key[0]]] = value
+    state.append(Valuation._from_sorted(tuple(elements)) if elements else None)
+    return tuple(state)
+
+
+def _items(state: tuple, slots: dict) -> tuple:
+    """The bindings of ``state``, laid out by ``slots``, as ``Valuation.items``."""
+    items = [((name, ()), value) for name, value in zip(slots, state) if value]
+    if state[-1] is not None:
+        items += state[-1].items
+        items.sort()
+    return tuple(items)
+
+
 class _Partial:
     """A budget-truncated ranking: exact entries plus an exactness bound.
 
     The true (raw, unnormalized) ranking this stands for agrees with
     ``entries`` on everything at rank <= ``bound`` and has nothing else
     there; whatever got pruned lives strictly above the bound.  ``entries``
-    is unordered (see the module docstring for where outcomes are ordered).
+    is unordered (see the module docstring for where outcomes are ordered),
+    and its states are laid out by ``slots``, the run's.
     """
 
-    __slots__ = ("entries", "bound", "ranks")
+    __slots__ = ("entries", "bound", "slots", "ranks")
 
-    def __init__(self, entries: dict, bound):
+    def __init__(self, entries: dict, bound, slots: dict):
         self.entries = entries
         self.bound = bound
+        self.slots = slots
         # rank(b) values read against this ranking, keyed on id() of the
         # RankOf node; the program tree keeps every node read alive
         self.ranks = {}
@@ -167,7 +230,9 @@ class _Round:
         self.budget = budget
         self.iteration_limit = iteration_limit
         self.min_pruned = None
-        self.compiled = {}  # see ``_evaluator``; shared by a run's rounds
+        # the run's ``_Compiled``, shared by its rounds; without one every
+        # site stays interpreted
+        self.compiled = None
 
     def note_pruned(self, rank: int):
         if self.min_pruned is None or rank < self.min_pruned:
@@ -240,14 +305,14 @@ def _index(value, pos) -> int:
     return value
 
 
-def _indices(sigma: Valuation, partial: _Partial, exprs: tuple, pos) -> tuple:
+def _indices(sigma: tuple, partial: _Partial, exprs: tuple, pos) -> tuple:
     indices = []
     for ix in exprs:
         indices.append(_index(_eval_num(sigma, partial, ix), pos))
     return tuple(indices)
 
 
-def _eval_num(sigma: Valuation, partial: _Partial, e: NumExpr):
+def _eval_num(sigma: tuple, partial: _Partial, e: NumExpr):
     # dispatch on the exact type, most frequent first; nodes are final
     t = type(e)
     if t is BinOp:
@@ -258,8 +323,10 @@ def _eval_num(sigma: Valuation, partial: _Partial, e: NumExpr):
         return _BINOPS[e.op](left, right, e.pos)
     if t is Var:
         if not e.indices:
-            return sigma.get(e.name)
-        return sigma.get(e.name, _indices(sigma, partial, e.indices, e.pos))
+            slot = partial.slots.get(e.name)
+            return 0 if slot is None else sigma[slot]
+        indices = _indices(sigma, partial, e.indices, e.pos)
+        return 0 if sigma[-1] is None else sigma[-1].get(e.name, indices)
     if t is IntLit:
         return e.value
     if t is RankOf:
@@ -267,7 +334,7 @@ def _eval_num(sigma: Valuation, partial: _Partial, e: NumExpr):
     raise TypeError(f"not a numeric expression: {e!r}")
 
 
-def _rank(partial: _Partial, e: RankOf, compiled: dict | None = None):
+def _rank(partial: _Partial, e: RankOf, compiled: _Compiled | None = None):
     # the value depends on the ranking alone, so scan it once per node;
     # nodes are keyed by identity, as hashing one hashes its whole tree
     least = partial.ranks.get(id(e))
@@ -285,7 +352,7 @@ def _rank(partial: _Partial, e: RankOf, compiled: dict | None = None):
     return least
 
 
-def _holds(sigma: Valuation, partial: _Partial, b: BoolExpr) -> bool:
+def _holds(sigma: tuple, partial: _Partial, b: BoolExpr) -> bool:
     t = type(b)
     if t is Cmp:
         left = _eval_num(sigma, partial, b.left)
@@ -315,7 +382,18 @@ _COMPILE_AT = 64
 _COMPILE_DEPTH = 40
 
 
-def _evaluator(e, entries: dict, compiled: dict | None, interpreted):
+class _Compiled(dict):
+    """A run's compiled expressions, keyed on id() of their nodes, for
+    states laid out by ``slots``."""
+
+    __slots__ = ("slots",)
+
+    def __init__(self, slots: dict):
+        super().__init__()
+        self.slots = slots
+
+
+def _evaluator(e, entries: dict, compiled: _Compiled | None, interpreted):
     """What evaluates ``e`` on the states of ``entries`` as ``interpreted``
     (``_eval_num`` or ``_holds``) does: that function itself on fewer than
     ``_COMPILE_AT`` states or without a run's cache ``compiled``, else ``e``
@@ -328,13 +406,22 @@ def _evaluator(e, entries: dict, compiled: dict | None, interpreted):
     return fn
 
 
-def _compile(e, compiled: dict):
+@functools.lru_cache(maxsize=256)
+def _code(source: str):
+    """``source`` compiled; every run that generates it shares the code."""
+    return compile(source, "<rankpl>", "exec")
+
+
+def _compile(e, compiled: _Compiled):
     """``e`` as a Python function of ``(sigma, partial, e)``, or None, to stay
     interpreted, for a tree deeper than ``_COMPILE_DEPTH``.  The source holds
-    only operators and the names of constants: values, names, positions and
-    nodes are looked up in its namespace.  ``+`` and the comparisons apply as
-    in ``_eval_num`` and ``_holds``; every other operator calls their helpers."""
+    only operators, slot indices and the names of constants: values, names,
+    positions and nodes are looked up in its namespace.  ``+`` and the
+    comparisons apply as in ``_eval_num`` and ``_holds``; every other
+    operator calls their helpers."""
     space = {"_index": _index, "_rank": _rank, "compiled": compiled}
+    space["_none"] = _NO_ELEMENTS
+    elements = []  # a read of an array element sets up ``get``
 
     def const(value):
         name = f"c{len(space)}"
@@ -355,7 +442,9 @@ def _compile(e, compiled: dict):
             return f"{const(_BINOPS[e.op])}({left}, {right}, {const(e.pos)})"
         if t is Var:
             if not e.indices:
-                return f"get({const((e.name, ()))}, 0)"
+                slot = compiled.slots.get(e.name)
+                return "0" if slot is None else f"sigma[{slot}]"
+            elements.append(e)
             at = const(e.pos)
             ix = [f"_index({code(i, NumExpr, depth)}, {at}), " for i in e.indices]
             return f"get(({const(e.name)}, ({''.join(ix)})), 0)"
@@ -374,31 +463,34 @@ def _compile(e, compiled: dict):
         body = code(e, BoolExpr if isinstance(e, BoolExpr) else NumExpr, 0)
     except (TypeError, KeyError):
         return None
-    exec(f"def f(sigma, partial, e):\n get = sigma._map.get\n return {body}", space)
+    head = " get = (sigma[-1] or _none)._map.get\n" if elements else ""
+    exec(_code(f"def f(sigma, partial, e):\n{head} return {body}"), space)
     return space["f"]
 
 
 # -- budget-limited denotation -------------------------------------------------
 
 
-def _normalized(entries: dict, bound) -> _Partial:
+def _normalized(entries: dict, bound, slots: dict) -> _Partial:
     """Shift ``entries`` and ``bound`` down to rank 0.  With no entry, an
     infinite bound proves failure; states may hide above a finite one."""
     if not entries:
         if bound is INF:
-            return _Partial({}, INF)
+            return _Partial({}, INF, slots)
         raise _InsufficientBudget
     low = min(entries.values())
     if low == 0:
-        return _Partial(entries, bound)
-    return _Partial({sigma: rank - low for sigma, rank in entries.items()}, bound - low)
+        return _Partial(entries, bound, slots)
+    shifted = {sigma: rank - low for sigma, rank in entries.items()}
+    return _Partial(shifted, bound - low, slots)
 
 
-def _merge(contributions, prior_bound, ctx: _Round) -> _Partial:
-    """Combine branch contributions: pointwise minimum, then enforce the
-    budget, then renormalize both the entries and the bound."""
-    merged: dict[Valuation, int] = {}
-    bound = prior_bound
+def _merge(contributions, p: _Partial, ctx: _Round) -> _Partial:
+    """Combine branch contributions to a step on ``p``: pointwise minimum,
+    then enforce the budget, then renormalize both the entries and the
+    bound."""
+    merged: dict[tuple, int] = {}
+    bound = p.bound
     for entries, contrib_bound in contributions:
         if contrib_bound < bound:
             bound = contrib_bound
@@ -420,7 +512,7 @@ def _merge(contributions, prior_bound, ctx: _Round) -> _Partial:
         # entries above the bound may yet be undercut by pruned alternatives
         for state in [s for s, r in merged.items() if r > bound]:
             del merged[state]
-    return _normalized(merged, bound)
+    return _normalized(merged, bound, p.slots)
 
 
 def _run_slice(run, part: dict, offset: int, p: _Partial, pos, ctx: _Round) -> tuple:
@@ -439,7 +531,7 @@ def _run_slice(run, part: dict, offset: int, p: _Partial, pos, ctx: _Round) -> t
         return {}, ctx.budget
     if shift:
         part = {sigma: rank - shift for sigma, rank in part.items()}
-    result = run(_Partial(part, p.bound - shift), ctx)
+    result = run(_Partial(part, p.bound - shift, p.slots), ctx)
     entries = result.entries
     if lift:
         if entries and max(entries.values()) + lift >= RANK_LIMIT:
@@ -459,8 +551,8 @@ def _branch(
     iteration limit is checked at the first state that satisfies it, and
     the step returns None when no state does.
     """
-    sats: dict[Valuation, int] = {}
-    fails: dict[Valuation, int] = {}
+    sats: dict[tuple, int] = {}
+    fails: dict[tuple, int] = {}
     for sigma, rank in p.entries.items():
         if not test(sigma):
             fails[sigma] = rank
@@ -478,7 +570,7 @@ def _branch(
             contributions.append((fails, p.bound))
         else:
             contributions.append(_run_slice(else_run, fails, 0, p, pos, ctx))
-    return _merge(contributions, p.bound, ctx)
+    return _merge(contributions, p, ctx)
 
 
 def _choice(left: _Partial, offset, run, p: _Partial, pos, ctx: _Round) -> _Partial:
@@ -487,7 +579,7 @@ def _choice(left: _Partial, offset, run, p: _Partial, pos, ctx: _Round) -> _Part
     penalty ``offset(sigma)``, in ascending order of the penalty; a state
     whose penalty is infinite takes no second alternative."""
     contributions = [(left.entries, left.bound)]
-    groups: dict[int, dict[Valuation, int]] = {}
+    groups: dict[int, dict[tuple, int]] = {}
     for sigma, rank in p.entries.items():
         penalty = offset(sigma)
         if penalty is INF:
@@ -501,7 +593,7 @@ def _choice(left: _Partial, offset, run, p: _Partial, pos, ctx: _Round) -> _Part
         groups.setdefault(penalty, {})[sigma] = rank
     for penalty, part in sorted(groups.items()):
         contributions.append(_run_slice(run, part, penalty, p, pos, ctx))
-    return _merge(contributions, p.bound, ctx)
+    return _merge(contributions, p, ctx)
 
 
 # -- graded observations -------------------------------------------------------
@@ -545,7 +637,7 @@ def _observe_where(truths, holds: bool, q: _Partial, ctx: _Round) -> _Partial:
     """``observe b`` (``holds``) or ``observe !b`` on ``q``."""
     truth = truths(q)
     kept = {sigma: rank for sigma, rank in q.entries.items() if truth[sigma] == holds}
-    return _normalized(kept, q.bound)
+    return _normalized(kept, q.bound, q.slots)
 
 
 def _j_offset(s, q: _Partial, rank_c, rank_not_c, sigma):
@@ -573,14 +665,14 @@ def _revise(s, truths, holds: bool, offset, q: _Partial, ctx: _Round) -> _Partia
     the condition (``holds``) or its negation and ``k`` is
     ``offset(s, q, rank(c), rank(!c), sigma)`` per state."""
     truth = truths(q)
-    kept: dict[Valuation, int] = {}
-    rest: dict[Valuation, int] = {}
+    kept: dict[tuple, int] = {}
+    rest: dict[tuple, int] = {}
     for sigma, rank in q.entries.items():
         if truth[sigma] == holds:
             kept[sigma] = rank
         else:
             rest[sigma] = rank
-    left = _normalized(kept, q.bound)
+    left = _normalized(kept, q.bound, q.slots)
     k = functools.partial(offset, s, q, _least(kept, q), _least(rest, q))
     run = functools.partial(_observe_where, truths, not holds)
     return _choice(left, k, run, q, s.pos, ctx)
@@ -640,12 +732,16 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
             return p
 
         if isinstance(s, (Assign, UniformPick)):
-            # any_of assigns every value of its range at the state's own rank
-            entries: dict[Valuation, int] = {}
+            # any_of assigns every value of its range at the state's own
+            # rank; a scalar fills its slot, an element goes to the last one
+            entries: dict[tuple, int] = {}
             if isinstance(s, Assign):
                 evaluate = _evaluator(s.value, p.entries, ctx.compiled, _eval_num)
+            slot = None if s.indices else p.slots[s.name]
             for sigma, rank in p.entries.items():
-                indices = _indices(sigma, p, s.indices, s.pos) if s.indices else ()
+                if slot is None:
+                    indices = _indices(sigma, p, s.indices, s.pos)
+                    elements = sigma[-1] or _NO_ELEMENTS
                 if isinstance(s, UniformPick):
                     values = range(s.lower, s.upper + 1)
                 else:
@@ -657,11 +753,15 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
                             "cannot store inf in a variable",
                         )
                 for value in values:
-                    image = sigma.assign(s.name, indices, value)
+                    if slot is None:
+                        image = elements.assign(s.name, indices, value)
+                        image = sigma[:-1] + (image if image.items else None,)
+                    else:
+                        image = sigma[:slot] + (value,) + sigma[slot + 1 :]
                     current = entries.get(image)
                     if current is None or rank < current:
                         entries[image] = rank
-            return _Partial(entries, p.bound)
+            return _Partial(entries, p.bound, p.slots)
 
         if isinstance(s, Observe):
             holds = _evaluator(s.cond, p.entries, ctx.compiled, _holds)
@@ -670,7 +770,7 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
                 for sigma, rank in p.entries.items()
                 if holds(sigma, p, s.cond)
             }
-            return _normalized(kept, p.bound)
+            return _normalized(kept, p.bound, p.slots)
 
         if isinstance(s, IfThenElse):
             holds = _evaluator(s.cond, p.entries, ctx.compiled, _holds)
@@ -722,19 +822,27 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
 # -- runs --------------------------------------------------------------------
 
 
+def _start(program: Stmt, prior: dict):
+    """The first ranking of a run of ``program`` from ``prior``, a map of
+    valuations to ranks, and the run's cache of compiled expressions."""
+    slots = _layout(program, prior)
+    states = {_state(sigma, slots): rank for sigma, rank in prior.items()}
+    return _Partial(states, INF, slots), _Compiled(slots)
+
+
 def _outcomes(program: Stmt, prior: dict, opts: SearchOptions):
+    start, compiled = _start(program, prior)
     count = 0
     yielded = -1  # the outcomes ranked at or below this have been yielded
     # with every outcome wanted, deepening would only replay the program;
     # one round at infinite budget prunes nothing and is the exact result
     unbounded = opts.max_rank is INF and opts.max_outcomes is None
     budget = INF if unbounded else 0
-    compiled = {}
     while True:
         ctx = _Round(budget, opts.max_while_iterations)
         ctx.compiled = compiled
         try:
-            result = _denote(program, _Partial(prior, INF), ctx)
+            result = _denote(program, _Partial(start.entries, INF, start.slots), ctx)
         except _InsufficientBudget:
             budget = ctx.next_budget()
             continue
@@ -744,16 +852,15 @@ def _outcomes(program: Stmt, prior: dict, opts: SearchOptions):
         # with an entry yields a rank-0 one; an empty one's bound is infinite
         trusted = min(result.bound, opts.max_rank)
         # entries at or below an earlier round's bound were emitted then and
-        # are identical now, so fresh outcomes always rank above them; each
-        # (rank, items) is unique, so states are never compared
+        # are identical now, so fresh outcomes always rank above them
         fresh = sorted(
-            (rank, sigma.items, sigma)
-            for sigma, rank in result.entries.items()
+            (rank, _items(state, start.slots))
+            for state, rank in result.entries.items()
             if yielded < rank <= trusted
         )
         yielded = max(yielded, trusted)
-        for rank, _, sigma in fresh:
-            yield Outcome(sigma, rank)
+        for rank, items in fresh:
+            yield Outcome(Valuation._from_sorted(items), rank)
             count += 1
             if opts.max_outcomes is not None and count >= opts.max_outcomes:
                 return
@@ -796,9 +903,13 @@ def denote(s: Stmt, kappa: Ranking, opts: SearchOptions | None = None) -> Rankin
     opts = opts or SearchOptions()
     prior = dict(kappa.items())
     if opts.max_rank is INF and opts.max_outcomes is None:
-        entries = _denote(
-            s, _Partial(prior, INF), _Round(INF, opts.max_while_iterations)
-        ).entries
+        ctx = _Round(INF, opts.max_while_iterations)
+        start, ctx.compiled = _start(s, prior)
+        result = _denote(s, start, ctx)
+        entries = {
+            Valuation._from_sorted(_items(state, start.slots)): rank
+            for state, rank in result.entries.items()
+        }
     else:
         entries = {o.valuation: o.rank for o in _outcomes(s, prior, opts)}
     return Ranking(entries) if entries else FAILURE

@@ -4,6 +4,7 @@ import pytest
 
 import rankpl.engine
 import rankpl.syntax
+import oracle
 from conftest import collect, run_cli
 from oracle import oracle_ranking
 from proggen import (
@@ -59,8 +60,10 @@ class TestEnumerate:
     def test_budget_zero_round_never_materializes_alternatives(self):
         program = parse_program(INTRO)
         round0 = _Round(0, 10000)
-        result = _denote(program, _Partial({Valuation(): 0}, INF), round0)
-        assert list(result.entries.items()) == [(Valuation({"x": 10, "y": 1}), 0)]
+        # states are laid out as (x, y, array elements)
+        prior = _Partial({(0, 0, None): 0}, INF, {"x": 0, "y": 1})
+        result = _denote(program, prior, round0)
+        assert list(result.entries.items()) == [((10, 1, None), 0)]
         assert round0.min_pruned == 1
 
     def test_observed_intro_enumerates_in_rank_order(self):
@@ -691,6 +694,80 @@ class TestBoundedDenote:
             else:
                 least = min((r, v) for v, r in exact.items())[1]
                 assert first == Ranking({least: 0})
+
+
+def oracle_from(program, kappa):
+    """The oracle's result of ``program`` run from the prior ``kappa``."""
+    weights = oracle.walk(rankpl.syntax.desugar(program), kappa.as_dict())
+    return FAILURE if weights is None else normalize(weights)
+
+
+class TestStateLayout:
+    """A run lays its states out as one slot per scalar it can bind and one
+    for the array elements; the edges of that layout, against the oracle,
+    exact and at ``max_rank`` 0-2."""
+
+    WIDE = rankpl.engine._COMPILE_AT + 5
+    SOURCES = {
+        "scalar and array": "a := 1; a[0] := 2; b := a + a[0]; "
+        "either { a := 0; } or (1) { a[0] := a + 5; a := a[0]; };",
+        "unbinding": "x := 1 or(1) 2; arr[3] := x; a[x] := 1; "
+        "either { x := 0; arr[3] := 0; } or (1) { a[1] := 0; }; y := arr[3] + a[1];",
+        "unbinding all": "either { skip; } or (1) "
+        "{ arr[2] := 5; b := 1; arr[2] := 0; b := 0; };",
+        "indices": "i := any_of(-2 .. 2); arr[i * 2 - 1] := i + 7; "
+        "arr[0 - i][i] := arr[0 - 1] or(1) 0 - 3; "
+        "observe arr[0 - 3] < 6 || arr[2][0 - 2] < 0;",
+        "unassigned, interpreted": "x := any_of(0 .. 9); "
+        "observe x + never < 5 && arr[never] == 0; y := x + also * 2 or(x) m[x];",
+        "unassigned, compiled": f"x := any_of(0 .. {WIDE}); "
+        "observe x + never < 50 && arr[never] == 0; y := x + also * 2 or(x) m[x];",
+    }
+
+    @staticmethod
+    def check(run, expected):
+        assert run() == expected
+        for cap in (0, 1, 2):
+            sliced = Ranking({v: r for v, r in expected.items() if r <= cap})
+            assert run(SearchOptions(max_rank=cap)) == sliced
+
+    @pytest.mark.parametrize("source", SOURCES.values(), ids=SOURCES.keys())
+    def test_runs_as_the_oracle(self, source):
+        program = parse_program(source)
+        self.check(lambda *opts: run_program(program, *opts), oracle_ranking(program))
+
+    def test_a_prior_binds_what_the_program_never_assigns(self):
+        prior = Ranking(
+            {
+                Valuation({"p": p, "q": 3 - p, ("m", (p, 2)): 3, ("m", (0,)): p}): p
+                for p in range(4)
+            }
+        )
+        for source in (
+            "x := p + m[1][2] + m[0] or(q) q; observe x < 5; m[x] := 1;",
+            "observe p != 2; z := m[2][2] - q;",
+            "skip;",
+        ):
+            program = parse_program(source)
+            expected = oracle_from(program, prior)
+            self.check(lambda *opts: denote(program, prior, *opts), expected)
+
+    def test_outcomes_of_a_rank_come_in_valuation_order(self):
+        def order(source, **options):
+            got = outcomes(source, **options)
+            return [(dict(o.valuation.items), o.rank) for o in got]
+
+        for options in ({}, {"max_rank": 0}):
+            assert order("x := any_of(-1 .. 1);", **options) == [
+                ({}, 0),
+                ({("x", ()): -1}, 0),
+                ({("x", ()): 1}, 0),
+            ]
+            both = "either { x := 3; y := 4; } or (0) { y := 2; };"
+            assert order(both, **options) == [
+                ({("x", ()): 3, ("y", ()): 4}, 0),
+                ({("y", ()): 2}, 0),
+            ]
 
 class TestWhileStep:
     """A loop tests its guard once per state per iteration, and checks the

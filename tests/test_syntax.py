@@ -6,7 +6,7 @@ import pytest
 import rankpl.syntax
 from rankpl.engine import _eval_num, _holds, _Partial
 from rankpl.parser import parse_program
-from rankpl.ranking import INF, Valuation
+from rankpl.ranking import INF
 from rankpl.syntax import (
     And,
     Assign,
@@ -115,7 +115,9 @@ class TestNodes:
                 node.note = "unknown attribute"
 
     def test_evaluator_refuses_what_is_no_node(self):
-        state, ranking = Valuation(), _Partial({Valuation(): 0}, INF)
+        # the state of a run that binds no scalar and no array element
+        state = (None,)
+        ranking = _Partial({state: 0}, INF, {})
         with pytest.raises(TypeError, match="not a numeric expression"):
             _eval_num(state, ranking, 1)
         with pytest.raises(TypeError, match="not a boolean expression"):
