@@ -188,16 +188,7 @@ def binding_prelude(defines: dict):
 # -- output ---------------------------------------------------------------------
 
 
-class _Texts(dict):
-    """The ``label=value`` text of each binding printed, made once per run."""
-
-    def __missing__(self, item):
-        key, value = item
-        text = self[item] = f"{format_binding(key)}={value}"
-        return text
-
-
-def _emit(out, rank, items, names, fmt, texts):
+def _emit(out, rank, items, names, fmt):
     """Print one outcome, ``items`` its bindings as ``Valuation.items``.
 
     Projected ``names`` (sorted) always appear (scalars default to 0);
@@ -214,7 +205,7 @@ def _emit(out, rank, items, names, fmt, texts):
             bindings = {format_binding(key): value for key, value in items}
             line = json.dumps({"rank": rank, "bindings": bindings}, sort_keys=True)
         else:
-            shown = ", ".join(map(texts.__getitem__, items))
+            shown = ", ".join(f"{format_binding(k)}={v}" for k, v in items)
             line = f"rank {rank}: {shown or '(all variables 0)'}"
     except ValueError as exc:
         # int() refuses to print more than sys.get_int_max_str_digits() digits
@@ -280,13 +271,13 @@ def cmd_run(args, out) -> int:
         }
     names = None if projection is None else sorted(projection)
     stream = enumerate_outcomes(Seq(binding_prelude(defines), program), options)
-    emitted, texts = 0, _Texts()
+    emitted = 0
     for rank, group in groupby(_fresh(stream, projection), key=itemgetter(0)):
         # a rank's outcomes arrive sorted; a projection can reorder them
         for _, items in sorted(group):
             if args.top is not None and emitted >= args.top:
                 return EXIT_OK
-            _emit(out, rank, items, names, args.format, texts)
+            _emit(out, rank, items, names, args.format)
             emitted += 1
     if emitted == 0:
         # no outcome arrived (each one is printed or ends the run at --top),

@@ -30,8 +30,6 @@ expression on every state of its slice.  Once the slice holds
 once per run, and evaluated through it; a narrower site calls
 ``_eval_num``/``_holds`` directly, so small runs never pay for a compile.
 Trees deeper than ``_COMPILE_DEPTH`` stay interpreted.  No option sets this.
-The code of a compiled expression is kept process-wide, keyed on its source,
-so a later run that generates the same source does not compile it again.
 
 Inside a run a state is a plain tuple, laid out once per run by ``_layout``:
 one slot per scalar the run can bind (those its prior binds and those the
@@ -230,9 +228,7 @@ class _Round:
         self.budget = budget
         self.iteration_limit = iteration_limit
         self.min_pruned = None
-        # the run's ``_Compiled``, shared by its rounds; without one every
-        # site stays interpreted
-        self.compiled = None
+        self.compiled = {}  # see ``_evaluator``; shared by a run's rounds
 
     def note_pruned(self, rank: int):
         if self.min_pruned is None or rank < self.min_pruned:
@@ -334,13 +330,13 @@ def _eval_num(sigma: tuple, partial: _Partial, e: NumExpr):
     raise TypeError(f"not a numeric expression: {e!r}")
 
 
-def _rank(partial: _Partial, e: RankOf, compiled: _Compiled | None = None):
+def _rank(partial: _Partial, e: RankOf, compiled: dict | None = None):
     # the value depends on the ranking alone, so scan it once per node;
     # nodes are keyed by identity, as hashing one hashes its whole tree
     least = partial.ranks.get(id(e))
     if least is not None:
         return least
-    holds = _evaluator(e.cond, partial.entries, compiled, _holds)
+    holds = _evaluator(e.cond, partial, compiled, _holds)
     for state, rank in partial.entries.items():
         if (least is None or rank < least) and holds(state, partial, e.cond):
             least = rank
@@ -382,43 +378,26 @@ _COMPILE_AT = 64
 _COMPILE_DEPTH = 40
 
 
-class _Compiled(dict):
-    """A run's compiled expressions, keyed on id() of their nodes, for
-    states laid out by ``slots``."""
-
-    __slots__ = ("slots",)
-
-    def __init__(self, slots: dict):
-        super().__init__()
-        self.slots = slots
-
-
-def _evaluator(e, entries: dict, compiled: _Compiled | None, interpreted):
-    """What evaluates ``e`` on the states of ``entries`` as ``interpreted``
+def _evaluator(e, partial: _Partial, compiled: dict | None, interpreted):
+    """What evaluates ``e`` on the states of ``partial`` as ``interpreted``
     (``_eval_num`` or ``_holds``) does: that function itself on fewer than
     ``_COMPILE_AT`` states or without a run's cache ``compiled``, else ``e``
     compiled, once per run."""
-    if compiled is None or len(entries) < _COMPILE_AT:
+    if compiled is None or len(partial.entries) < _COMPILE_AT:
         return interpreted
     fn = compiled.get(id(e))
     if fn is None:
-        fn = compiled[id(e)] = _compile(e, compiled) or interpreted
+        fn = compiled[id(e)] = _compile(e, partial.slots, compiled) or interpreted
     return fn
 
 
-@functools.lru_cache(maxsize=256)
-def _code(source: str):
-    """``source`` compiled; every run that generates it shares the code."""
-    return compile(source, "<rankpl>", "exec")
-
-
-def _compile(e, compiled: _Compiled):
-    """``e`` as a Python function of ``(sigma, partial, e)``, or None, to stay
-    interpreted, for a tree deeper than ``_COMPILE_DEPTH``.  The source holds
-    only operators, slot indices and the names of constants: values, names,
-    positions and nodes are looked up in its namespace.  ``+`` and the
-    comparisons apply as in ``_eval_num`` and ``_holds``; every other
-    operator calls their helpers."""
+def _compile(e, slots: dict, compiled: dict):
+    """``e`` as a Python function of ``(sigma, partial, e)`` on states laid
+    out by ``slots``, or None, to stay interpreted, for a tree deeper than
+    ``_COMPILE_DEPTH``.  The source holds only operators, slot indices and the
+    names of constants: values, names, positions and nodes are looked up in
+    its namespace.  ``+`` and the comparisons apply as in ``_eval_num`` and
+    ``_holds``; every other operator calls their helpers."""
     space = {"_index": _index, "_rank": _rank, "compiled": compiled}
     space["_none"] = _NO_ELEMENTS
     elements = []  # a read of an array element sets up ``get``
@@ -442,7 +421,7 @@ def _compile(e, compiled: _Compiled):
             return f"{const(_BINOPS[e.op])}({left}, {right}, {const(e.pos)})"
         if t is Var:
             if not e.indices:
-                slot = compiled.slots.get(e.name)
+                slot = slots.get(e.name)
                 return "0" if slot is None else f"sigma[{slot}]"
             elements.append(e)
             at = const(e.pos)
@@ -464,7 +443,7 @@ def _compile(e, compiled: _Compiled):
     except (TypeError, KeyError):
         return None
     head = " get = (sigma[-1] or _none)._map.get\n" if elements else ""
-    exec(_code(f"def f(sigma, partial, e):\n{head} return {body}"), space)
+    exec(f"def f(sigma, partial, e):\n{head} return {body}", space)
     return space["f"]
 
 
@@ -681,7 +660,7 @@ def _revise(s, truths, holds: bool, offset, q: _Partial, ctx: _Round) -> _Partia
 def _observe_graded(s, p: _Partial, ctx: _Round) -> _Partial:
     """observeJ or observeL on ``p``: check that the condition and its
     negation both have finite rank, then run the lowering's steps."""
-    holds = _evaluator(s.cond, p.entries, ctx.compiled, _holds)
+    holds = _evaluator(s.cond, p, ctx.compiled, _holds)
     truth = {sigma: holds(sigma, p, s.cond) for sigma in p.entries}
     holders = sum(truth.values())
     if holders == 0 or holders == len(truth):
@@ -698,7 +677,7 @@ def _observe_graded(s, p: _Partial, ctx: _Round) -> _Partial:
         """Whether the condition holds, per state of ``p`` or of a slice."""
         if q is p or not reads_rank:
             return truth
-        holds = _evaluator(s.cond, q.entries, ctx.compiled, _holds)
+        holds = _evaluator(s.cond, q, ctx.compiled, _holds)
         return {sigma: holds(sigma, q, s.cond) for sigma in q.entries}
 
     if isinstance(s, ObserveJ):
@@ -736,7 +715,7 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
             # rank; a scalar fills its slot, an element goes to the last one
             entries: dict[tuple, int] = {}
             if isinstance(s, Assign):
-                evaluate = _evaluator(s.value, p.entries, ctx.compiled, _eval_num)
+                evaluate = _evaluator(s.value, p, ctx.compiled, _eval_num)
             slot = None if s.indices else p.slots[s.name]
             for sigma, rank in p.entries.items():
                 if slot is None:
@@ -764,7 +743,7 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
             return _Partial(entries, p.bound, p.slots)
 
         if isinstance(s, Observe):
-            holds = _evaluator(s.cond, p.entries, ctx.compiled, _holds)
+            holds = _evaluator(s.cond, p, ctx.compiled, _holds)
             kept = {
                 sigma: rank
                 for sigma, rank in p.entries.items()
@@ -773,7 +752,7 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
             return _normalized(kept, p.bound, p.slots)
 
         if isinstance(s, IfThenElse):
-            holds = _evaluator(s.cond, p.entries, ctx.compiled, _holds)
+            holds = _evaluator(s.cond, p, ctx.compiled, _holds)
             return _branch(
                 lambda sigma: holds(sigma, p, s.cond),
                 functools.partial(_denote, s.then_branch),
@@ -784,7 +763,7 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
             )
 
         if isinstance(s, RankedChoice):
-            evaluate = _evaluator(s.rank, p.entries, ctx.compiled, _eval_num)
+            evaluate = _evaluator(s.rank, p, ctx.compiled, _eval_num)
             return _choice(
                 _denote(s.first, p, ctx),
                 lambda sigma: evaluate(sigma, p, s.rank),
@@ -799,7 +778,7 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
             iteration = 0
             while True:
                 iteration += 1
-                holds = _evaluator(s.cond, p.entries, ctx.compiled, _holds)
+                holds = _evaluator(s.cond, p, ctx.compiled, _holds)
                 guard = lambda sigma: holds(sigma, p, s.cond)
                 stepped = _branch(guard, body, None, p, s.pos, ctx, iteration)
                 if stepped is None:
@@ -824,14 +803,15 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
 
 def _start(program: Stmt, prior: dict):
     """The first ranking of a run of ``program`` from ``prior``, a map of
-    valuations to ranks, and the run's cache of compiled expressions."""
+    valuations to ranks."""
     slots = _layout(program, prior)
     states = {_state(sigma, slots): rank for sigma, rank in prior.items()}
-    return _Partial(states, INF, slots), _Compiled(slots)
+    return _Partial(states, INF, slots)
 
 
 def _outcomes(program: Stmt, prior: dict, opts: SearchOptions):
-    start, compiled = _start(program, prior)
+    start = _start(program, prior)
+    compiled = {}
     count = 0
     yielded = -1  # the outcomes ranked at or below this have been yielded
     # with every outcome wanted, deepening would only replay the program;
@@ -904,7 +884,7 @@ def denote(s: Stmt, kappa: Ranking, opts: SearchOptions | None = None) -> Rankin
     prior = dict(kappa.items())
     if opts.max_rank is INF and opts.max_outcomes is None:
         ctx = _Round(INF, opts.max_while_iterations)
-        start, ctx.compiled = _start(s, prior)
+        start = _start(s, prior)
         result = _denote(s, start, ctx)
         entries = {
             Valuation._from_sorted(_items(state, start.slots)): rank

@@ -30,7 +30,6 @@ from rankpl.engine import (
     EvalError,
     SearchOptions,
     _compile,
-    _Compiled,
     _eval_num,
     _evaluator,
     _holds,
@@ -39,7 +38,6 @@ from rankpl.engine import (
     _state,
     denote,
     enumerate_outcomes,
-    run_program,
 )
 from rankpl.parser import parse_program
 from rankpl.ranking import INF, Ranking, Valuation, j_condition, l_condition
@@ -141,7 +139,7 @@ def test_compiled_expressions_evaluate_as_the_interpreter(kind, size):
     errors = set()
     for _ in range(250):
         e = positioned(make(rng, 4))
-        fn = _compile(e, _Compiled(SLOTS))
+        fn = _compile(e, SLOTS, {})
         assert fn is not None
         entries, bound = random_slice(rng, size, rng.choice([INF, INF, 2]))
         expected = table(interpreted, e, entries, bound)
@@ -159,9 +157,9 @@ def test_compiled_expressions_evaluate_as_the_interpreter(kind, size):
 
 def test_a_site_compiles_from_the_threshold_on_once_per_run():
     cond = positioned(Cmp("<", Var("a"), IntLit(1)))
-    compiled = _Compiled(SLOTS)
-    narrow, _ = random_slice(random.Random(1), _COMPILE_AT - 1)
-    wide, _ = random_slice(random.Random(2), _COMPILE_AT)
+    compiled = {}
+    narrow = _Partial(*random_slice(random.Random(1), _COMPILE_AT - 1), SLOTS)
+    wide = _Partial(*random_slice(random.Random(2), _COMPILE_AT), SLOTS)
     assert _evaluator(cond, narrow, compiled, _holds) is _holds
     assert compiled == {}
     fn = _evaluator(cond, wide, compiled, _holds)
@@ -184,13 +182,13 @@ def test_trees_deeper_than_the_bound_stay_interpreted():
     rng = random.Random(3)
     entries, bound = random_slice(rng, _COMPILE_AT)
     deepest = nested(_COMPILE_DEPTH)
-    fn = _compile(deepest, _Compiled(SLOTS))
+    fn = _compile(deepest, SLOTS, {})
     assert fn is not None
     assert table(fn, deepest, entries, bound) == table(_holds, deepest, entries, bound)
     deeper = nested(_COMPILE_DEPTH + 1)
-    assert _compile(deeper, _Compiled(SLOTS)) is None
-    compiled = _Compiled(SLOTS)
-    assert _evaluator(deeper, entries, compiled, _holds) is _holds
+    assert _compile(deeper, SLOTS, {}) is None
+    compiled = {}
+    assert _evaluator(deeper, _Partial(entries, bound, SLOTS), compiled, _holds) is _holds
     assert compiled == {id(deeper): _holds}
 
 
@@ -245,31 +243,3 @@ def test_graded_observation_nodes_match_the_calculus(node, condition):
         for cap in (0, 1, 2):
             bounded = denote(program, kappa, SearchOptions(max_rank=cap))
             assert bounded == Ranking({v: r for v, r in expected.items() if r <= cap})
-
-
-def test_code_is_compiled_once_per_source(monkeypatch):
-    """A compiled expression's code is kept process-wide, keyed on its
-    source: a second run of a wide program compiles nothing, and a run whose
-    states are laid out otherwise gets code of its own."""
-    source = f"x := any_of(0 .. {_COMPILE_AT}); observe x % 3 == 1; y := x + 1;"
-    program = parse_program(source)
-    rankpl.engine._code.cache_clear()
-    expected = run_program(program)
-    sources = []
-
-    def counting(text, *args):
-        sources.append(text)
-        return compile(text, *args)
-
-    monkeypatch.setattr(rankpl.engine, "compile", counting, raising=False)
-    assert run_program(program) == expected
-    assert sources == []
-    # ``a`` takes the first slot, so x is read from another one
-    shifted = parse_program("a := 1; " + source)
-    moved = {v.assign("a", (), 1): r for v, r in expected.items()}
-    assert run_program(shifted) == Ranking(moved)
-    assert sources and all("sigma[1]" in text for text in sources)
-    cond = positioned(Cmp("<", Var("a"), IntLit(1)))
-    first = _compile(cond, _Compiled({"a": 0}))
-    assert _compile(cond, _Compiled({"a": 0})).__code__ is first.__code__
-    assert _compile(cond, _Compiled({"_": 0, "a": 1})).__code__ is not first.__code__

@@ -507,8 +507,8 @@ def run_counted(monkeypatch, interpreter, source):
             calls["interpreted"] += type(b) is rankpl.syntax.Cmp
             return holds(sigma, partial, b)
 
-        def counting_compile(e, compiled):
-            fn = compile_(e, compiled)
+        def counting_compile(e, slots, compiled):
+            fn = compile_(e, slots, compiled)
 
             def counted(sigma, partial, e):
                 calls["compiled"] += 1
