@@ -56,12 +56,9 @@ from .syntax import (
     UniformPick,
     Var,
     While,
-    desugar,
-    expand_observe_j,
-    expand_observe_l,
     pretty_print,
 )
-from .parser import ParseError, Token, parse_program, tokenize
+from .parser import ParseError, parse_program
 from .engine import (
     EvalError,
     Outcome,
@@ -117,15 +114,10 @@ __all__ = [
     "UniformPick",
     "Var",
     "While",
-    "desugar",
-    "expand_observe_j",
-    "expand_observe_l",
     "pretty_print",
     # parsing
     "ParseError",
-    "Token",
     "parse_program",
-    "tokenize",
     # running programs
     "EvalError",
     "Outcome",

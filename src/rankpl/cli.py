@@ -236,17 +236,22 @@ def _read_defines(args) -> dict:
     return defines
 
 
-def _fresh(stream, projection):
+def _fresh(stream, projection, errors: list):
     """``(rank, items)`` for each outcome whose projected bindings, as
-    ``Valuation.items``, are new; tuples hash and compare in C."""
+    ``Valuation.items``, are new; tuples hash and compare in C.  A runtime
+    error ends the outcomes and goes to ``errors``: a round raises before it
+    yields, so every rank yielded by then is complete."""
     seen = set()
-    for outcome in stream:
-        items = outcome.valuation.items
-        if projection is not None:
-            items = tuple(item for item in items if item[0][0] in projection)
-        if items not in seen:
-            seen.add(items)
-            yield outcome.rank, items
+    try:
+        for outcome in stream:
+            items = outcome.valuation.items
+            if projection is not None:
+                items = tuple(item for item in items if item[0][0] in projection)
+            if items not in seen:
+                seen.add(items)
+                yield outcome.rank, items
+    except EvalError as exc:
+        errors.append(exc)
 
 
 def cmd_run(args, out) -> int:
@@ -271,14 +276,17 @@ def cmd_run(args, out) -> int:
         }
     names = None if projection is None else sorted(projection)
     stream = enumerate_outcomes(Seq(binding_prelude(defines), program), options)
+    errors = []
     emitted = 0
-    for rank, group in groupby(_fresh(stream, projection), key=itemgetter(0)):
+    for rank, group in groupby(_fresh(stream, projection, errors), key=itemgetter(0)):
         # a rank's outcomes arrive sorted; a projection can reorder them
         for _, items in sorted(group):
             if args.top is not None and emitted >= args.top:
                 return EXIT_OK
             _emit(out, rank, items, names, args.format)
             emitted += 1
+    if errors:
+        raise errors[0]
     if emitted == 0:
         # no outcome arrived (each one is printed or ends the run at --top),
         # and only the failure ranking has none at any --max-rank

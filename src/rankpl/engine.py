@@ -29,7 +29,7 @@ expression on every state of its slice.  Once the slice holds
 ``_COMPILE_AT`` states, the expression is compiled to a Python function,
 once per run, and evaluated through it; a narrower site calls
 ``_eval_num``/``_holds`` directly, so small runs never pay for a compile.
-Trees deeper than ``_COMPILE_DEPTH`` stay interpreted.  No option sets this.
+Trees too deep for CPython to compile stay interpreted.  No option sets this.
 
 Inside a run a state is a plain tuple, laid out once per run by ``_layout``:
 one slot per scalar the run can bind (those its prior binds and those the
@@ -336,7 +336,7 @@ def _rank(partial: _Partial, e: RankOf, compiled: dict | None = None):
     least = partial.ranks.get(id(e))
     if least is not None:
         return least
-    holds = _evaluator(e.cond, partial, compiled, _holds)
+    holds = _evaluator(e.cond, partial, compiled)
     for state, rank in partial.entries.items():
         if (least is None or rank < least) and holds(state, partial, e.cond):
             least = rank
@@ -373,16 +373,14 @@ def _holds(sigma: tuple, partial: _Partial, b: BoolExpr) -> bool:
 #: a site whose slice holds at least this many states evaluates compiled; a
 #: compile costs about as much as 30 interpreted evaluations
 _COMPILE_AT = 64
-#: deeper trees stay interpreted: CPython's parser takes at most 200 nested
-#: parentheses, and a tree level costs at most four
-_COMPILE_DEPTH = 40
 
 
-def _evaluator(e, partial: _Partial, compiled: dict | None, interpreted):
-    """What evaluates ``e`` on the states of ``partial`` as ``interpreted``
-    (``_eval_num`` or ``_holds``) does: that function itself on fewer than
+def _evaluator(e, partial: _Partial, compiled: dict | None):
+    """What evaluates ``e`` on the states of ``partial``: the interpreter,
+    ``_holds`` for a condition and ``_eval_num`` for a number, on fewer than
     ``_COMPILE_AT`` states or without a run's cache ``compiled``, else ``e``
     compiled, once per run."""
+    interpreted = _holds if isinstance(e, BoolExpr) else _eval_num
     if compiled is None or len(partial.entries) < _COMPILE_AT:
         return interpreted
     fn = compiled.get(id(e))
@@ -393,10 +391,10 @@ def _evaluator(e, partial: _Partial, compiled: dict | None, interpreted):
 
 def _compile(e, slots: dict, compiled: dict):
     """``e`` as a Python function of ``(sigma, partial, e)`` on states laid
-    out by ``slots``, or None, to stay interpreted, for a tree deeper than
-    ``_COMPILE_DEPTH``.  The source holds only operators, slot indices and the
-    names of constants: values, names, positions and nodes are looked up in
-    its namespace.  ``+`` and the comparisons apply as in ``_eval_num`` and
+    out by ``slots``, or None, to stay interpreted, for a tree too deep for
+    CPython to compile.  The source holds only operators, slot indices and
+    the names of constants: values, names, positions and nodes are looked up
+    in its namespace.  ``+`` and the comparisons apply as in ``_eval_num`` and
     ``_holds``; every other operator calls their helpers."""
     space = {"_index": _index, "_rank": _rank, "compiled": compiled}
     space["_none"] = _NO_ELEMENTS
@@ -407,12 +405,12 @@ def _compile(e, slots: dict, compiled: dict):
         space[name] = value
         return name
 
-    def code(e, kind, depth):
-        if depth > _COMPILE_DEPTH or not isinstance(e, kind):
-            raise TypeError  # too deep, or a node the interpreter rejects
-        t, depth = type(e), depth + 1
+    def code(e, kind):
+        if not isinstance(e, kind):
+            raise TypeError  # a node the interpreter rejects
+        t = type(e)
         if t is BinOp or t is Cmp:
-            left, right = code(e.left, NumExpr, depth), code(e.right, NumExpr, depth)
+            left, right = code(e.left, NumExpr), code(e.right, NumExpr)
             if t is Cmp:
                 op = "==" if e.op == "==" else "<" if e.op == "<" else "<="
                 return f"({left} {op} {right})"
@@ -425,25 +423,26 @@ def _compile(e, slots: dict, compiled: dict):
                 return "0" if slot is None else f"sigma[{slot}]"
             elements.append(e)
             at = const(e.pos)
-            ix = [f"_index({code(i, NumExpr, depth)}, {at}), " for i in e.indices]
+            ix = [f"_index({code(i, NumExpr)}, {at}), " for i in e.indices]
             return f"get(({const(e.name)}, ({''.join(ix)})), 0)"
         if t is IntLit:
             return const(e.value)
         if t is RankOf:
             return f"_rank(partial, {const(e)}, compiled)"
         if t is Not:
-            return f"(not {code(e.operand, BoolExpr, depth)})"
+            return f"(not {code(e.operand, BoolExpr)})"
         if t is And or t is Or:
-            left, right = code(e.left, BoolExpr, depth), code(e.right, BoolExpr, depth)
+            left, right = code(e.left, BoolExpr), code(e.right, BoolExpr)
             return f"({left} {'and' if t is And else 'or'} {right})"
         raise TypeError
 
     try:
-        body = code(e, BoolExpr if isinstance(e, BoolExpr) else NumExpr, 0)
-    except (TypeError, KeyError):
+        body = code(e, BoolExpr if isinstance(e, BoolExpr) else NumExpr)
+        head = " get = (sigma[-1] or _none)._map.get\n" if elements else ""
+        exec(f"def f(sigma, partial, e):\n{head} return {body}", space)
+    except (TypeError, KeyError, RecursionError, SyntaxError):
+        # an ill-typed node or operator, or too deep to recurse or to parse
         return None
-    head = " get = (sigma[-1] or _none)._map.get\n" if elements else ""
-    exec(f"def f(sigma, partial, e):\n{head} return {body}", space)
     return space["f"]
 
 
@@ -660,7 +659,7 @@ def _revise(s, truths, holds: bool, offset, q: _Partial, ctx: _Round) -> _Partia
 def _observe_graded(s, p: _Partial, ctx: _Round) -> _Partial:
     """observeJ or observeL on ``p``: check that the condition and its
     negation both have finite rank, then run the lowering's steps."""
-    holds = _evaluator(s.cond, p, ctx.compiled, _holds)
+    holds = _evaluator(s.cond, p, ctx.compiled)
     truth = {sigma: holds(sigma, p, s.cond) for sigma in p.entries}
     holders = sum(truth.values())
     if holders == 0 or holders == len(truth):
@@ -677,7 +676,7 @@ def _observe_graded(s, p: _Partial, ctx: _Round) -> _Partial:
         """Whether the condition holds, per state of ``p`` or of a slice."""
         if q is p or not reads_rank:
             return truth
-        holds = _evaluator(s.cond, q, ctx.compiled, _holds)
+        holds = _evaluator(s.cond, q, ctx.compiled)
         return {sigma: holds(sigma, q, s.cond) for sigma in q.entries}
 
     if isinstance(s, ObserveJ):
@@ -715,7 +714,7 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
             # rank; a scalar fills its slot, an element goes to the last one
             entries: dict[tuple, int] = {}
             if isinstance(s, Assign):
-                evaluate = _evaluator(s.value, p, ctx.compiled, _eval_num)
+                evaluate = _evaluator(s.value, p, ctx.compiled)
             slot = None if s.indices else p.slots[s.name]
             for sigma, rank in p.entries.items():
                 if slot is None:
@@ -743,7 +742,7 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
             return _Partial(entries, p.bound, p.slots)
 
         if isinstance(s, Observe):
-            holds = _evaluator(s.cond, p, ctx.compiled, _holds)
+            holds = _evaluator(s.cond, p, ctx.compiled)
             kept = {
                 sigma: rank
                 for sigma, rank in p.entries.items()
@@ -752,7 +751,7 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
             return _normalized(kept, p.bound, p.slots)
 
         if isinstance(s, IfThenElse):
-            holds = _evaluator(s.cond, p, ctx.compiled, _holds)
+            holds = _evaluator(s.cond, p, ctx.compiled)
             return _branch(
                 lambda sigma: holds(sigma, p, s.cond),
                 functools.partial(_denote, s.then_branch),
@@ -763,7 +762,7 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
             )
 
         if isinstance(s, RankedChoice):
-            evaluate = _evaluator(s.rank, p, ctx.compiled, _eval_num)
+            evaluate = _evaluator(s.rank, p, ctx.compiled)
             return _choice(
                 _denote(s.first, p, ctx),
                 lambda sigma: evaluate(sigma, p, s.rank),
@@ -778,7 +777,7 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
             iteration = 0
             while True:
                 iteration += 1
-                holds = _evaluator(s.cond, p, ctx.compiled, _holds)
+                holds = _evaluator(s.cond, p, ctx.compiled)
                 guard = lambda sigma: holds(sigma, p, s.cond)
                 stepped = _branch(guard, body, None, p, s.pos, ctx, iteration)
                 if stepped is None:

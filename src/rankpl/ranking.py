@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Mapping
+from functools import total_ordering
 from typing import Union
 
 #: Finite ranks live in [0, RANK_LIMIT); anything beyond is an arithmetic error.
@@ -108,6 +109,7 @@ def as_rank(value) -> Rank:
 _Key = "tuple[str, tuple[int, ...]]"
 
 
+@total_ordering
 class Valuation:
     """A program state: a total map from (name, index path) to integers.
 
@@ -183,15 +185,6 @@ class Valuation:
 
     def __lt__(self, other):
         return self._items < other._items
-
-    def __le__(self, other):
-        return self._items <= other._items
-
-    def __gt__(self, other):
-        return self._items > other._items
-
-    def __ge__(self, other):
-        return self._items >= other._items
 
     def __repr__(self):
         return f"Valuation({format_bindings(self)})"

@@ -182,9 +182,6 @@ class ObserveL(Stmt):
     pos: Pos = field(default=None, compare=False)
 
 
-CORE_STMTS = (Skip, Seq, Assign, IfThenElse, While, RankedChoice, Observe)
-
-
 def statements(s: Stmt):
     """Yield the statements that any nesting of ``Seq`` in ``s`` runs, in
     order, without recursion; a statement that is no ``Seq`` yields itself."""

@@ -117,7 +117,7 @@ class TestRun:
     def test_full_run_prints_nothing_before_a_runtime_error(self, tmp_path):
         # the error sits in a rank-3 alternative: a full run executes the
         # program once, exactly, so it fails before printing any outcome,
-        # while a --max-rank run streams the ranks it has proven
+        # while a --max-rank run prints every rank it has proven
         path = tmp_path / "late.rpl"
         path.write_text(
             "x := 0 or(1) 1; z := 2 or(3) 3; "
@@ -129,8 +129,29 @@ class TestRun:
         assert "division-by-zero" in err
         code, out, err = run_cli(["run", str(path), "--max-rank", "5"])
         assert code == 3
-        assert out == "rank 0: z=2\n"
+        assert out == "rank 0: z=2\nrank 1: x=1, z=2\n"
         assert "division-by-zero" in err
+
+    @pytest.mark.parametrize(
+        "project, lines",
+        [
+            ([], "rank 0: x=1\nrank 1: x=1, y=1\n"),
+            (["--project", "x"], "rank 0: x=1\n"),
+        ],
+        ids=["all", "projected"],
+    )
+    def test_proven_ranks_print_before_a_runtime_error(self, tmp_path, project, lines):
+        # the round at budget 3 raises in the rank-2 alternative, after the
+        # rounds at budgets 0 and 1 proved ranks 0 and 1; under --project
+        # rank 1 repeats rank 0's line, so only rank 0 is printed
+        path = tmp_path / "late.rpl"
+        path.write_text(
+            "either { y := 0; } or (1) { y := 1; }; x := 1; "
+            "either { skip; } or (2) { z := 1 / 0; };\n"
+        )
+        code, out, err = run_cli(["run", str(path), "--max-rank", "5", *project])
+        assert (code, out) == (3, lines)
+        assert err == "runtime error: division-by-zero at line 1, column 81\n"
 
     def test_internal_error_exit_code(self, tmp_path, monkeypatch):
         import rankpl.cli

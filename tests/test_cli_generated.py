@@ -2,11 +2,14 @@
 
 Each of 150 programs from ``proggen``'s three generators, one in seven with
 an injected runtime error, is printed to a file and run under one drawn
-option set: a ``--define`` of a name the program reads (of one it writes,
-for the few that read none), and sometimes
+option set: a define of a name the program reads (of one it writes, for the
+few that read none), and sometimes
 ``--project`` (at times with a repeated or blank entry), ``--top``,
-``--max-rank`` and ``--format records``.  The expected stdout and exit code
-come from the oracle's ranking of the program after the define, formatted
+``--max-rank`` and ``--format records``.  About half the defines go through
+an ``--input`` file, with a ``//`` comment and, for a loop program, an
+``arr`` array split over lines; the rest are ``--define``s.  Some values are
+spelled as tokens that ``--enum`` maps.  The expected stdout and exit code
+come from the oracle's ranking of the program after the defines, formatted
 here.  One program in five is also run with an option naming something no
 program or value can name, which must end the run with an input error.
 """
@@ -18,6 +21,7 @@ import random
 from conftest import run_cli
 from oracle import oracle_ranking
 from proggen import (
+    ARRAY,
     random_loop_program,
     random_program,
     random_sugar_program,
@@ -30,6 +34,9 @@ FAILED = {
     "text": "failed (observation ruled out all possibilities)",
     "records": '{"failed": true}',
 }
+#: the tokens some values are spelled as, mapped in two ``--enum`` options
+ENUMS = {"LO": -2, "NEG": -1, "ZERO": 0, "ONE": 1, "TWO": 2, "TOP": 3}
+ENUM_ARGS = ["--enum", "LO=-2,NEG=-1,ZERO=0", "--enum", "ONE=1, TWO=2,TOP=3"]
 BAD_NAMES = (
     ["--define", "x[0]=1"],
     ["--define", "1x=1"],
@@ -96,6 +103,12 @@ def expected(ranking, projection, top, max_rank, fmt):
     return 0, "".join(line(*o, projection, fmt) + "\n" for o in ordered)
 
 
+def spelled(rng, value):
+    """``value`` as a define writes it: sometimes as its ``ENUMS`` token."""
+    tokens = [token for token, number in ENUMS.items() if number == value]
+    return tokens[0] if tokens and rng.random() < 0.4 else str(value)
+
+
 def oracle_or_abort(program):
     """The oracle's ranking, or None where it aborts on a runtime error."""
     try:
@@ -107,7 +120,11 @@ def oracle_or_abort(program):
 
 def test_generated_programs_run_as_the_oracle_says(tmp_path):
     rng = random.Random(1919)
+    # how defines are passed and spelled is drawn apart, so ``rng`` draws
+    # the same programs and options as it would without them
+    spelling = random.Random(2323)
     seen = {"code": set(), "bad": set(), "records": 0, "projected": 0, "odd": 0}
+    seen.update(inputs=0, arrays=0, tokens=0)
     for index in range(150):
         program = GENERATORS[index % 3](rng)
         faulty = index % 7 == 0
@@ -117,7 +134,27 @@ def test_generated_programs_run_as_the_oracle_says(tmp_path):
         path.write_text(pretty_print(program) + "\n")
         read, every = names(program)
         name, value = rng.choice(read or every), rng.randrange(-2, 4)
-        argv = ["run", str(path), "--define", f"{name}={value}"]
+        texts = [spelled(spelling, value)]
+        prelude = Assign(name, (), IntLit(value))
+        entries = ""
+        if spelling.random() < 0.5:
+            entries = f"// drawn for case {index}\n{name} = {texts[0]}  // a scalar\n"
+            if GENERATORS[index % 3] is random_loop_program and name != ARRAY:
+                cells = [spelling.randrange(-2, 4) for _ in range(3)]
+                texts += [spelled(spelling, cell) for cell in cells]
+                entries += f"{ARRAY} = [\n    " + ",\n    ".join(texts[1:]) + ",\n]\n"
+                for i, cell in enumerate(cells):
+                    prelude = Seq(prelude, Assign(ARRAY, (IntLit(i),), IntLit(cell)))
+                seen["arrays"] += 1
+            defines = tmp_path / f"p{index}.input"
+            defines.write_text(entries)
+            argv = ["run", str(path), "--input", str(defines)]
+            seen["inputs"] += 1
+        else:
+            argv = ["run", str(path), "--define", f"{name}={texts[0]}"]
+        if any(text in ENUMS for text in texts):
+            argv += ENUM_ARGS
+            seen["tokens"] += 1
         projection = None
         if rng.random() < 0.5:
             entries = rng.sample(every, rng.randrange(1, len(every) + 1))
@@ -140,12 +177,13 @@ def test_generated_programs_run_as_the_oracle_says(tmp_path):
         if fmt == "records":
             argv += ["--format", "records"]
             seen["records"] += 1
-        where = f"case {index}: {' '.join(argv[2:])}\n{pretty_print(program)}"
+        where = f"case {index}: {' '.join(argv[2:])}\n{entries}"
+        where += pretty_print(program)
 
         code, out, err = run_cli(argv)
         assert code != 5, where
         seen["code"].add(code)
-        reference = oracle_or_abort(Seq(Assign(name, (), IntLit(value)), program))
+        reference = oracle_or_abort(Seq(prelude, program))
         if reference is None:
             assert code == 3, where
             assert err.count("\n") == 1 and err.startswith("runtime error: "), where
@@ -166,3 +204,4 @@ def test_generated_programs_run_as_the_oracle_says(tmp_path):
     assert seen["code"] == {0, 1, 3}
     assert seen["bad"] == {bad[1] for bad in BAD_NAMES}
     assert min(seen["records"], seen["projected"], seen["odd"]) > 0
+    assert min(seen["inputs"], seen["arrays"], seen["tokens"]) > 0

@@ -26,7 +26,6 @@ from proggen import (
 )
 from rankpl.engine import (
     _COMPILE_AT,
-    _COMPILE_DEPTH,
     EvalError,
     SearchOptions,
     _compile,
@@ -160,13 +159,14 @@ def test_a_site_compiles_from_the_threshold_on_once_per_run():
     compiled = {}
     narrow = _Partial(*random_slice(random.Random(1), _COMPILE_AT - 1), SLOTS)
     wide = _Partial(*random_slice(random.Random(2), _COMPILE_AT), SLOTS)
-    assert _evaluator(cond, narrow, compiled, _holds) is _holds
+    assert _evaluator(cond, narrow, compiled) is _holds
+    assert _evaluator(cond.left, narrow, compiled) is _eval_num
     assert compiled == {}
-    fn = _evaluator(cond, wide, compiled, _holds)
+    fn = _evaluator(cond, wide, compiled)
     assert fn is not _holds and compiled == {id(cond): fn}
-    assert _evaluator(cond, wide, compiled, _holds) is fn
+    assert _evaluator(cond, wide, compiled) is fn
     # without a run's cache, as for rank() read by the interpreter
-    assert _evaluator(cond, wide, None, _holds) is _holds
+    assert _evaluator(cond, wide, None) is _holds
 
 
 def nested(depth):
@@ -179,16 +179,20 @@ def nested(depth):
 
 
 def test_trees_deeper_than_the_bound_stay_interpreted():
+    # CPython's parser takes at most 200 nested parentheses: what it
+    # compiles is compiled, however deep, and the rest stays interpreted
     rng = random.Random(3)
     entries, bound = random_slice(rng, _COMPILE_AT)
-    deepest = nested(_COMPILE_DEPTH)
-    fn = _compile(deepest, SLOTS, {})
-    assert fn is not None
-    assert table(fn, deepest, entries, bound) == table(_holds, deepest, entries, bound)
-    deeper = nested(_COMPILE_DEPTH + 1)
+    terms = [f"{VARS[k % 3]} == {k}" for k in range(150)]
+    chain = parse_program("observe " + " || ".join(terms) + ";").cond
+    for deep in (nested(45), chain):
+        fn = _compile(deep, SLOTS, {})
+        assert fn is not None
+        assert table(fn, deep, entries, bound) == table(_holds, deep, entries, bound)
+    deeper = nested(100)
     assert _compile(deeper, SLOTS, {}) is None
     compiled = {}
-    assert _evaluator(deeper, _Partial(entries, bound, SLOTS), compiled, _holds) is _holds
+    assert _evaluator(deeper, _Partial(entries, bound, SLOTS), compiled) is _holds
     assert compiled == {id(deeper): _holds}
 
 

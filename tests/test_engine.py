@@ -19,8 +19,10 @@ from rankpl.engine import (
     Outcome,
     SearchOptions,
     _denote,
+    _InsufficientBudget,
     _Partial,
     _Round,
+    _start,
     denote,
     enumerate_outcomes,
     run_program,
@@ -38,6 +40,8 @@ from rankpl.ranking import (
     rank_of,
 )
 from rankpl.syntax import Assign, BinOp, IntLit, Seq, Stmt, Var, pretty_print
+
+GENERATORS = (random_program, random_sugar_program, random_loop_program)
 
 INTRO = (
     "x := 10; either {y:=1} or (1) { either {y:=2} or (1) {y:=3} }; x := x*y;"
@@ -486,6 +490,35 @@ class TestBudgets:
         )
         assert (code, got, err) == (0, out, "")
         assert budgets == rounds
+
+
+    def test_any_budget_sequence_is_sound(self):
+        # a round that finishes at any budget is exact at or below its
+        # bound, so a deepening policy may choose its budgets freely
+        finite = deepened = 0
+        for seed, generate in enumerate(GENERATORS, 2101):
+            rng = random.Random(seed)
+            for _ in range(200):
+                program = generate(rng)
+                start = _start(program, {Valuation(): 0})
+                fresh = lambda: _Partial(start.entries, INF, start.slots)
+                try:
+                    exact = _denote(program, fresh(), _Round(INF, 10000)).entries
+                except EvalError:
+                    continue
+                compiled = {}  # one cache for a program's rounds, as in a run
+                for budget in (0, 1, 2, 3, 4, 5, 6, 8, 11, 17):
+                    ctx = _Round(budget, 10000)
+                    ctx.compiled = compiled
+                    try:
+                        result = _denote(program, fresh(), ctx)
+                    except _InsufficientBudget:
+                        deepened += 1
+                        continue
+                    finite += result.bound is not INF
+                    expected = {s: r for s, r in exact.items() if r <= result.bound}
+                    assert result.entries == expected, (budget, pretty_print(program))
+        assert finite > 0 and deepened > 0
 
 
 #: the 200 states of the counting tests' slices are too few to compile on

@@ -10,6 +10,8 @@ dependency inside the function that needs it, or pin it here with a reason.
 import ast
 from pathlib import Path
 
+import rankpl
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "rankpl"
 
 PINNED = {
@@ -60,3 +62,8 @@ def test_module_level_imports_are_pinned():
         if found - PINNED:
             unpinned[path.name] = sorted(found - PINNED)
     assert unpinned == {}
+
+
+def test_every_exported_name_resolves_once():
+    assert len(rankpl.__all__) == len(set(rankpl.__all__))
+    assert [name for name in rankpl.__all__ if not hasattr(rankpl, name)] == []

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -99,6 +101,19 @@ class TestValuation:
     def test_restrict(self):
         v = val(x=1, y=2)
         assert v.restrict({"x"}) == val(x=1)
+
+    def test_comparisons_follow_the_order_of_items(self):
+        # few keys and values, so equal and prefix-related pairs are common
+        rng = random.Random(71)
+        keys = [("a", ()), ("b", ()), ("a", (0,)), ("a", (1,))]
+        states = []
+        for _ in range(40):
+            chosen = rng.sample(keys, rng.randrange(5))
+            states.append(Valuation({key: rng.randrange(-1, 2) for key in chosen}))
+        for v in states:
+            for w in states:
+                x, y = v.items, w.items
+                assert (v < w, v <= w, v > w, v >= w) == (x < y, x <= y, x > y, x >= y)
 
 
 class TestRankOf:

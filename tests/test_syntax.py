@@ -12,7 +12,6 @@ from rankpl.syntax import (
     Assign,
     BinOp,
     Cmp,
-    CORE_STMTS,
     DesugarError,
     IfThenElse,
     IntLit,
@@ -33,6 +32,10 @@ from rankpl.syntax import (
     expand_observe_l,
     pretty_print,
 )
+
+
+#: the statements ``desugar`` lowers every program onto
+CORE_STMTS = (Skip, Seq, Assign, IfThenElse, While, RankedChoice, Observe)
 
 
 def lit(n):
