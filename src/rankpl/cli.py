@@ -279,12 +279,14 @@ def cmd_run(args, out) -> int:
     errors = []
     emitted = 0
     for rank, group in groupby(_fresh(stream, projection, errors), key=itemgetter(0)):
+        if args.top == 0:  # an outcome arrived, so the run did not fail
+            return EXIT_OK
         # a rank's outcomes arrive sorted; a projection can reorder them
         for _, items in sorted(group):
-            if args.top is not None and emitted >= args.top:
-                return EXIT_OK
             _emit(out, rank, items, names, args.format)
             emitted += 1
+            if emitted == args.top:
+                return EXIT_OK
     if errors:
         raise errors[0]
     if emitted == 0:

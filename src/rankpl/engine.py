@@ -18,10 +18,9 @@ alternative is.  The branching step, the slice step and the grouping of a
 choice by penalty take the branch body as a callable, so ``observeJ`` and
 ``observeL`` run as the steps of their lowering (see ``syntax.desugar``)
 without building it: each ranked choice of a lowering is one revision step,
-``_revise``, and observeL's ``if rank(b) <= n`` is one branching step
-between two of them.  Both test their condition once per state.  At an
-infinite budget nothing is pruned and the result is exact; ``run_program``
-and ``denote`` without a limit are that exact run.
+and observeL's ``if rank(b) <= n`` is one branching step between two of
+them, all inside ``_observe_graded``.  Both test their condition once per
+state.  At an infinite budget nothing is pruned and the result is exact.
 
 Each evaluation site (an observation, a guard, a choice offset, an assigned
 value, a graded observation's truth table, a ``rank(b)`` scan) evaluates its
@@ -30,6 +29,8 @@ expression on every state of its slice.  Once the slice holds
 once per run, and evaluated through it; a narrower site calls
 ``_eval_num``/``_holds`` directly, so small runs never pay for a compile.
 Trees too deep for CPython to compile stay interpreted.  No option sets this.
+A site names the kind of expression it wants, condition or number, and a
+hand-built tree that holds the other kind there raises ``TypeError``.
 
 Inside a run a state is a plain tuple, laid out once per run by ``_layout``:
 one slot per scalar the run can bind (those its prior binds and those the
@@ -38,17 +39,19 @@ last slot that holds the state's array elements as a ``Valuation``, or None
 when it has none.  Dicts of states hash and compare in C; a scalar
 assignment is a tuple slice that shares the elements by reference; a name
 without a slot reads 0.  States become ``Valuation``s only where they leave
-the interpreter: as the ``Outcome``s of ``_outcomes`` and the ``Ranking`` of
-``denote``.
+the interpreter: as the ``Outcome``s of ``enumerate_outcomes`` and the
+``Ranking`` of ``denote``.
 
-A bounded run (finite ``max_rank`` or ``max_outcomes``) runs the program
-repeatedly under a rank budget that at least doubles per round, pruning
-every choice alternative whose accumulated rank exceeds the budget, and
-emits outcomes in ascending rank order as soon as they are provably final.
-An unbounded run wants every outcome, so it runs once at infinite budget,
-which prunes nothing, and emits the sorted result only when the whole
-program has run: a runtime error anywhere in it ends the stream before the
-first outcome.
+Every run, through ``enumerate_outcomes``, ``denote`` or ``run_program``,
+is one loop of rounds, ``_proven``, and each finished round hands over the
+outcomes it newly proves.  A bounded run (finite ``max_rank`` or
+``max_outcomes``) runs the program repeatedly under a rank budget that at
+least doubles per round, pruning every choice alternative whose accumulated
+rank exceeds the budget, so outcomes come out in ascending rank order as
+soon as they are provably final.  An unbounded run wants every outcome, so
+it runs once at infinite budget, which prunes nothing, and hands over the
+whole result only when the whole program has run: a runtime error anywhere
+in it ends the run before the first outcome.
 
 Each budget round computes a truncated ranking together with an exactness
 bound: the entries at or below the bound are exactly the full result's
@@ -60,9 +63,9 @@ Rounds whose visible states cannot decide an observation or rank expression
 are abandoned and retried with a larger budget.
 
 A ranking is an unordered map, and so are a round's entries.  Outcomes are
-ordered only where they leave the interpreter: ``_outcomes`` sorts them by
-``(rank, valuation)``, ``Ranking`` by valuation, and the CLI each rank's
-projected lines.
+ordered only where they leave the interpreter: ``enumerate_outcomes`` sorts
+each round's by ``(rank, valuation)``, ``Ranking`` by valuation, and the
+CLI each rank's projected lines.
 """
 
 from __future__ import annotations
@@ -135,14 +138,17 @@ class SearchOptions:
     max_while_iterations: int = 10000
 
     def __post_init__(self):
-        if self.max_rank is not INF and (
-            not isinstance(self.max_rank, int) or self.max_rank < 0
-        ):
+        if self.max_rank is not INF and not _at_least(self.max_rank, 0):
             raise ValueError("max_rank must be a rank")
-        if self.max_outcomes is not None and self.max_outcomes <= 0:
-            raise ValueError("max_outcomes must be positive")
-        if self.max_while_iterations <= 0:
-            raise ValueError("max_while_iterations must be positive")
+        if self.max_outcomes is not None and not _at_least(self.max_outcomes, 1):
+            raise ValueError("max_outcomes must be a positive int")
+        if not _at_least(self.max_while_iterations, 1):
+            raise ValueError("max_while_iterations must be a positive int")
+
+
+def _at_least(value, least: int) -> bool:
+    """Whether ``value`` is an int, not a bool, of at least ``least``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 @dataclass(frozen=True)
@@ -227,22 +233,20 @@ class _Round:
     def __init__(self, budget: int, iteration_limit: int):
         self.budget = budget
         self.iteration_limit = iteration_limit
-        self.min_pruned = None
+        self.min_pruned = INF
         self.compiled = {}  # see ``_evaluator``; shared by a run's rounds
 
     def note_pruned(self, rank: int):
-        if self.min_pruned is None or rank < self.min_pruned:
+        if rank < self.min_pruned:
             self.min_pruned = rank
 
     def next_budget(self) -> int:
-        # every round replays the program, so the budget doubles to keep the
-        # rounds few; anything dropped this round sat strictly above the
-        # budget, so a budget below the least dropped rank would replay this
-        # round verbatim
-        grown = 2 * self.budget + 1
-        if self.min_pruned is not None:
-            return max(grown, self.min_pruned)
-        return grown
+        # a round deepens only below a finite bound, and only a prune makes a
+        # bound finite.  Every round replays the program, so the budget
+        # doubles to keep the rounds few; anything dropped this round sat
+        # strictly above the budget, so a budget below the least dropped rank
+        # would replay this round verbatim
+        return max(2 * self.budget + 1, self.min_pruned)
 
 
 # -- expressions over partial rankings ---------------------------------------
@@ -336,7 +340,7 @@ def _rank(partial: _Partial, e: RankOf, compiled: dict | None = None):
     least = partial.ranks.get(id(e))
     if least is not None:
         return least
-    holds = _evaluator(e.cond, partial, compiled)
+    holds = _evaluator(e.cond, BoolExpr, partial, compiled)
     for state, rank in partial.entries.items():
         if (least is None or rank < least) and holds(state, partial, e.cond):
             least = rank
@@ -375,12 +379,16 @@ def _holds(sigma: tuple, partial: _Partial, b: BoolExpr) -> bool:
 _COMPILE_AT = 64
 
 
-def _evaluator(e, partial: _Partial, compiled: dict | None):
-    """What evaluates ``e`` on the states of ``partial``: the interpreter,
-    ``_holds`` for a condition and ``_eval_num`` for a number, on fewer than
+def _evaluator(e, kind: type, partial: _Partial, compiled: dict | None):
+    """What evaluates ``e``, at a site that wants a ``kind`` (``BoolExpr`` or
+    ``NumExpr``), on the states of ``partial``: the interpreter, ``_holds``
+    for a condition and ``_eval_num`` for a number, on fewer than
     ``_COMPILE_AT`` states or without a run's cache ``compiled``, else ``e``
-    compiled, once per run."""
-    interpreted = _holds if isinstance(e, BoolExpr) else _eval_num
+    compiled, once per run.  Raises ``TypeError`` when ``e`` is no ``kind``:
+    its node alone cannot tell what the site wants."""
+    if not isinstance(e, kind):
+        raise TypeError(f"not a {kind.__name__}: {e!r}")
+    interpreted = _holds if kind is BoolExpr else _eval_num
     if compiled is None or len(partial.entries) < _COMPILE_AT:
         return interpreted
     fn = compiled.get(id(e))
@@ -465,8 +473,8 @@ def _normalized(entries: dict, bound, slots: dict) -> _Partial:
 
 def _merge(contributions, p: _Partial, ctx: _Round) -> _Partial:
     """Combine branch contributions to a step on ``p``: pointwise minimum,
-    then enforce the budget, then renormalize both the entries and the
-    bound."""
+    then drop what lies above the bound or the budget, then renormalize both
+    the entries and the bound."""
     merged: dict[tuple, int] = {}
     bound = p.bound
     for entries, contrib_bound in contributions:
@@ -479,17 +487,15 @@ def _merge(contributions, p: _Partial, ctx: _Round) -> _Partial:
             current = merged.get(state)
             if current is None or rank < current:
                 merged[state] = rank
-    if ctx.budget is not INF:
-        over_budget = [s for s, r in merged.items() if r > ctx.budget]
-        if over_budget:
-            for state in over_budget:
-                ctx.note_pruned(merged.pop(state))
-            if ctx.budget < bound:
-                bound = ctx.budget
-    if bound is not INF:
-        # entries above the bound may yet be undercut by pruned alternatives
-        for state in [s for s, r in merged.items() if r > bound]:
-            del merged[state]
+    cap = ctx.budget if bound is INF else min(bound, ctx.budget)
+    if cap is not INF:
+        # entries above the bound may yet be undercut by pruned alternatives;
+        # pruning one above the budget caps the bound at the budget
+        for state in [s for s, r in merged.items() if r > cap]:
+            rank = merged.pop(state)
+            if rank > ctx.budget:
+                ctx.note_pruned(rank)
+                bound = cap
     return _normalized(merged, bound, p.slots)
 
 
@@ -575,15 +581,6 @@ def _choice(left: _Partial, offset, run, p: _Partial, pos, ctx: _Round) -> _Part
 
 
 # -- graded observations -------------------------------------------------------
-#
-# observeJ(n, b) and observeL(n, b) run as the steps of their lowering
-# (``syntax.expand_observe_j``/``expand_observe_l``), in the lowering's order,
-# without building it: the slices, rounds, errors and their positions are the
-# lowering's.  Each of its ranked choices is one ``_revise`` step, whose
-# offset reads the strength n against the ranking the step runs on.  The
-# condition is tested once per state of the prior, and that truth table serves
-# the precondition, every split and every rank(b) or rank(!b); one that reads
-# rank() reads the ranking it is tested against, so each slice tests it afresh.
 
 
 def _reads_rank(e) -> bool:
@@ -602,64 +599,17 @@ def _reads_rank(e) -> bool:
     return False
 
 
-def _least(part: dict, q: _Partial):
-    """The rank in ``q`` of an event, given ``part``, the entries of ``q``
-    where it holds: None when no state of it is visible and it may hide
-    above ``q``'s finite bound."""
-    if part:
-        return min(part.values())
-    return INF if q.bound is INF else None
-
-
-def _observe_where(truths, holds: bool, q: _Partial, ctx: _Round) -> _Partial:
-    """``observe b`` (``holds``) or ``observe !b`` on ``q``."""
-    truth = truths(q)
-    kept = {sigma: rank for sigma, rank in q.entries.items() if truth[sigma] == holds}
-    return _normalized(kept, q.bound, q.slots)
-
-
-def _j_offset(s, q: _Partial, rank_c, rank_not_c, sigma):
-    """observeJ's offset: ``n``."""
-    return _eval_num(sigma, q, s.strength)
-
-
-def _taken_offset(s, q: _Partial, rank_b, rank_not_b, sigma):
-    """observeL's offset where ``rank(b) <= n``: ``n - rank(b) + rank(!b)``."""
-    diff = _minus(_eval_num(sigma, q, s.strength), rank_b, s.pos)
-    if rank_not_b is None:
-        raise _InsufficientBudget
-    return diff + rank_not_b
-
-
-def _flipped_offset(s, q: _Partial, rank_not_b, rank_b, sigma):
-    """observeL's offset where ``n < rank(b)``, with c = !b: ``rank(b) - n``."""
-    if rank_b is None:
-        raise _InsufficientBudget
-    return _minus(rank_b, _eval_num(sigma, q, s.strength), s.pos)
-
-
-def _revise(s, truths, holds: bool, offset, q: _Partial, ctx: _Round) -> _Partial:
-    """``either { observe c } or (k) { observe !c }`` on ``q``, where c is
-    the condition (``holds``) or its negation and ``k`` is
-    ``offset(s, q, rank(c), rank(!c), sigma)`` per state."""
-    truth = truths(q)
-    kept: dict[tuple, int] = {}
-    rest: dict[tuple, int] = {}
-    for sigma, rank in q.entries.items():
-        if truth[sigma] == holds:
-            kept[sigma] = rank
-        else:
-            rest[sigma] = rank
-    left = _normalized(kept, q.bound, q.slots)
-    k = functools.partial(offset, s, q, _least(kept, q), _least(rest, q))
-    run = functools.partial(_observe_where, truths, not holds)
-    return _choice(left, k, run, q, s.pos, ctx)
-
-
 def _observe_graded(s, p: _Partial, ctx: _Round) -> _Partial:
-    """observeJ or observeL on ``p``: check that the condition and its
-    negation both have finite rank, then run the lowering's steps."""
-    holds = _evaluator(s.cond, p, ctx.compiled)
+    """observeJ(n, b) or observeL(n, b) on ``p``, as the steps of its
+    lowering (``syntax.expand_observe_j``/``expand_observe_l``) in their
+    order, so the slices, rounds, errors and their positions are the
+    lowering's.  The condition is tested once per state of ``p``, and that
+    truth table serves the precondition (b and !b both have finite rank),
+    every split and every rank(b) or rank(!b); a condition that reads rank()
+    reads the ranking it is tested against, so each slice tests it afresh."""
+    if not isinstance(s.strength, NumExpr):
+        raise TypeError(f"not a NumExpr: {s.strength!r}")
+    holds = _evaluator(s.cond, BoolExpr, p, ctx.compiled)
     truth = {sigma: holds(sigma, p, s.cond) for sigma in p.entries}
     holders = sum(truth.values())
     if holders == 0 or holders == len(truth):
@@ -672,21 +622,58 @@ def _observe_graded(s, p: _Partial, ctx: _Round) -> _Partial:
         raise _InsufficientBudget
     reads_rank = _reads_rank(s.cond)
 
-    def truths(q):
-        """Whether the condition holds, per state of ``p`` or of a slice."""
+    def split(q, holds):
+        """The entries of ``q``, of ``p`` or of a slice, where the condition
+        is ``holds``, and the rest."""
         if q is p or not reads_rank:
-            return truth
-        holds = _evaluator(s.cond, q, ctx.compiled)
-        return {sigma: holds(sigma, q, s.cond) for sigma in q.entries}
+            table = truth
+        else:
+            test = _evaluator(s.cond, BoolExpr, q, ctx.compiled)
+            table = {sigma: test(sigma, q, s.cond) for sigma in q.entries}
+        kept, rest = {}, {}
+        for sigma, rank in q.entries.items():
+            if table[sigma] == holds:
+                kept[sigma] = rank
+            else:
+                rest[sigma] = rank
+        return kept, rest
+
+    def revise(holds, q, ctx):
+        """``either { observe c } or (k) { observe !c }`` on ``q``, where c is
+        the condition (``holds``) or its negation; k reads n against ``q``."""
+        kept, rest = split(q, holds)
+        left = _normalized(kept, q.bound, q.slots)
+        # rank(c) and rank(!c) in q: None where no state of the event is
+        # visible and one may hide above q's finite bound
+        unseen = INF if q.bound is INF else None
+        rank_c = min(kept.values(), default=unseen)
+        rank_not_c = min(rest.values(), default=unseen)
+        if isinstance(s, ObserveJ):  # k = n
+            offset = lambda sigma: _eval_num(sigma, q, s.strength)
+        elif holds:  # where rank(b) <= n: k = n - rank(b) + rank(!b)
+            def offset(sigma):
+                diff = _minus(_eval_num(sigma, q, s.strength), rank_c, s.pos)
+                if rank_not_c is None:
+                    raise _InsufficientBudget
+                return diff + rank_not_c
+        else:  # where n < rank(b), with c = !b: k = rank(b) - n
+            def offset(sigma):
+                if rank_not_c is None:
+                    raise _InsufficientBudget
+                return _minus(rank_not_c, _eval_num(sigma, q, s.strength), s.pos)
+
+        def observe_not_c(part, ctx):
+            return _normalized(split(part, not holds)[0], part.bound, part.slots)
+        return _choice(left, offset, observe_not_c, q, s.pos, ctx)
 
     if isinstance(s, ObserveJ):
-        return _revise(s, truths, True, _j_offset, p, ctx)
-    # if rank(b) <= n then { taken } else { flipped }
+        return revise(True, p, ctx)
+    # if rank(b) <= n then { revise(b) } else { revise(!b) }
     rank_b = min(rank for sigma, rank in p.entries.items() if truth[sigma])
     return _branch(
         lambda sigma: rank_b <= _eval_num(sigma, p, s.strength),
-        functools.partial(_revise, s, truths, True, _taken_offset),
-        functools.partial(_revise, s, truths, False, _flipped_offset),
+        functools.partial(revise, True),
+        functools.partial(revise, False),
         p,
         s.pos,
         ctx,
@@ -714,7 +701,7 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
             # rank; a scalar fills its slot, an element goes to the last one
             entries: dict[tuple, int] = {}
             if isinstance(s, Assign):
-                evaluate = _evaluator(s.value, p, ctx.compiled)
+                evaluate = _evaluator(s.value, NumExpr, p, ctx.compiled)
             slot = None if s.indices else p.slots[s.name]
             for sigma, rank in p.entries.items():
                 if slot is None:
@@ -742,7 +729,7 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
             return _Partial(entries, p.bound, p.slots)
 
         if isinstance(s, Observe):
-            holds = _evaluator(s.cond, p, ctx.compiled)
+            holds = _evaluator(s.cond, BoolExpr, p, ctx.compiled)
             kept = {
                 sigma: rank
                 for sigma, rank in p.entries.items()
@@ -751,7 +738,7 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
             return _normalized(kept, p.bound, p.slots)
 
         if isinstance(s, IfThenElse):
-            holds = _evaluator(s.cond, p, ctx.compiled)
+            holds = _evaluator(s.cond, BoolExpr, p, ctx.compiled)
             return _branch(
                 lambda sigma: holds(sigma, p, s.cond),
                 functools.partial(_denote, s.then_branch),
@@ -762,7 +749,7 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
             )
 
         if isinstance(s, RankedChoice):
-            evaluate = _evaluator(s.rank, p, ctx.compiled)
+            evaluate = _evaluator(s.rank, NumExpr, p, ctx.compiled)
             return _choice(
                 _denote(s.first, p, ctx),
                 lambda sigma: evaluate(sigma, p, s.rank),
@@ -777,7 +764,7 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
             iteration = 0
             while True:
                 iteration += 1
-                holds = _evaluator(s.cond, p, ctx.compiled)
+                holds = _evaluator(s.cond, BoolExpr, p, ctx.compiled)
                 guard = lambda sigma: holds(sigma, p, s.cond)
                 stepped = _branch(guard, body, None, p, s.pos, ctx, iteration)
                 if stepped is None:
@@ -801,17 +788,20 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
 
 
 def _start(program: Stmt, prior: dict):
-    """The first ranking of a run of ``program`` from ``prior``, a map of
-    valuations to ranks."""
+    """The ranking each round of a run of ``program`` from ``prior``, a map
+    of valuations to ranks, starts from."""
     slots = _layout(program, prior)
     states = {_state(sigma, slots): rank for sigma, rank in prior.items()}
     return _Partial(states, INF, slots)
 
 
-def _outcomes(program: Stmt, prior: dict, opts: SearchOptions):
+def _proven(program: Stmt, prior: dict, opts: SearchOptions):
+    """The rounds of a run of ``program`` from ``prior``, a map of valuations
+    to ranks: for each finished round, the ``(rank, items)`` pairs it newly
+    proves, in no order, ``items`` as ``Valuation.items``.  The caller stops
+    the rounds by no longer pulling them."""
     start = _start(program, prior)
     compiled = {}
-    count = 0
     yielded = -1  # the outcomes ranked at or below this have been yielded
     # with every outcome wanted, deepening would only replay the program;
     # one round at infinite budget prunes nothing and is the exact result
@@ -821,7 +811,8 @@ def _outcomes(program: Stmt, prior: dict, opts: SearchOptions):
         ctx = _Round(budget, opts.max_while_iterations)
         ctx.compiled = compiled
         try:
-            result = _denote(program, _Partial(start.entries, INF, start.slots), ctx)
+            # no step changes the ranking it reads: every round reuses start
+            result = _denote(program, start, ctx)
         except _InsufficientBudget:
             budget = ctx.next_budget()
             continue
@@ -830,21 +821,18 @@ def _outcomes(program: Stmt, prior: dict, opts: SearchOptions):
         # non-empty result's least rank at 0, so the first finished round
         # with an entry yields a rank-0 one; an empty one's bound is infinite
         trusted = min(result.bound, opts.max_rank)
-        # entries at or below an earlier round's bound were emitted then and
-        # are identical now, so fresh outcomes always rank above them
-        fresh = sorted(
+        # entries at or below an earlier round's bound were yielded then and
+        # are identical now, so fresh outcomes always rank above them; ranks
+        # stay below RANK_LIMIT, and ints compare faster than INF
+        top = RANK_LIMIT if trusted is INF else trusted
+        yield [
             (rank, _items(state, start.slots))
             for state, rank in result.entries.items()
-            if yielded < rank <= trusted
-        )
-        yielded = max(yielded, trusted)
-        for rank, items in fresh:
-            yield Outcome(Valuation._from_sorted(items), rank)
-            count += 1
-            if opts.max_outcomes is not None and count >= opts.max_outcomes:
-                return
+            if yielded < rank <= top
+        ]
         if result.bound is INF or trusted >= opts.max_rank:
             return
+        yielded = max(yielded, trusted)
         budget = ctx.next_budget()
 
 
@@ -864,12 +852,23 @@ def enumerate_outcomes(s: Stmt, opts: SearchOptions | None = None):
     follow some outcomes.  Without either limit the program runs once,
     exactly, and nothing is yielded before that run completes.
     """
-    return _outcomes(s, {Valuation(): 0}, opts or SearchOptions())
+    opts = opts or SearchOptions()
+    count = 0
+    for fresh in _proven(s, {Valuation(): 0}, opts):
+        for rank, items in sorted(fresh):
+            yield Outcome(Valuation._from_sorted(items), rank)
+            count += 1
+            if count == opts.max_outcomes:
+                return
 
 
 def initial_ranking() -> Ranking:
     """The starting point of every program: all variables 0, surprise 0."""
-    return Ranking({Valuation(): 0})
+    return _INITIAL
+
+
+#: built once, as a ``Ranking`` is immutable; a run need not pay for it
+_INITIAL = Ranking({Valuation(): 0})
 
 
 def denote(s: Stmt, kappa: Ranking, opts: SearchOptions | None = None) -> Ranking:
@@ -880,17 +879,15 @@ def denote(s: Stmt, kappa: Ranking, opts: SearchOptions | None = None) -> Rankin
     limit it collects what enumeration from ``kappa`` yields.  The failure
     ranking is a legal result; runtime errors raise :class:`EvalError`."""
     opts = opts or SearchOptions()
-    prior = dict(kappa.items())
-    if opts.max_rank is INF and opts.max_outcomes is None:
-        ctx = _Round(INF, opts.max_while_iterations)
-        start = _start(s, prior)
-        result = _denote(s, start, ctx)
-        entries = {
-            Valuation._from_sorted(_items(state, start.slots)): rank
-            for state, rank in result.entries.items()
-        }
-    else:
-        entries = {o.valuation: o.rank for o in _outcomes(s, prior, opts)}
+    entries = {}
+    for fresh in _proven(s, dict(kappa.items()), opts):
+        if opts.max_outcomes is not None:
+            # the most plausible outcomes, as ``enumerate_outcomes`` yields them
+            fresh = sorted(fresh)[: opts.max_outcomes - len(entries)]
+        for rank, items in fresh:
+            entries[Valuation._from_sorted(items)] = rank
+        if len(entries) == opts.max_outcomes:
+            break
     return Ranking(entries) if entries else FAILURE
 
 

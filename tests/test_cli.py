@@ -153,6 +153,28 @@ class TestRun:
         assert (code, out) == (3, lines)
         assert err == "runtime error: division-by-zero at line 1, column 81\n"
 
+    @pytest.mark.parametrize(
+        "options, code, lines",
+        [
+            (["--top", "2"], 0, "rank 0: x=1\nrank 1: x=1, y=1\n"),
+            (["--top", "1", "--project", "x"], 0, "rank 0: x=1\n"),
+            (["--top", "2", "--project", "x"], 3, "rank 0: x=1\n"),
+        ],
+        ids=["top-2", "top-1-projected", "top-2-projected"],
+    )
+    def test_top_returns_once_its_lines_are_out(self, tmp_path, options, code, lines):
+        # the program of the test above: the run ends at its --top'th line,
+        # before the rank-2 alternative raises; under --project x only one
+        # distinct line is proven before the error
+        path = tmp_path / "late.rpl"
+        path.write_text(
+            "either { y := 0; } or (1) { y := 1; }; x := 1; "
+            "either { skip; } or (2) { z := 1 / 0; };\n"
+        )
+        got = run_cli(["run", str(path), "--max-rank", "5", *options])
+        error = "runtime error: division-by-zero at line 1, column 81\n"
+        assert got == (code, lines, error if code else "")
+
     def test_internal_error_exit_code(self, tmp_path, monkeypatch):
         import rankpl.cli
 

@@ -48,6 +48,7 @@ from rankpl.syntax import (
     Cmp,
     IntLit,
     Not,
+    NumExpr,
     Observe,
     ObserveJ,
     ObserveL,
@@ -159,14 +160,14 @@ def test_a_site_compiles_from_the_threshold_on_once_per_run():
     compiled = {}
     narrow = _Partial(*random_slice(random.Random(1), _COMPILE_AT - 1), SLOTS)
     wide = _Partial(*random_slice(random.Random(2), _COMPILE_AT), SLOTS)
-    assert _evaluator(cond, narrow, compiled) is _holds
-    assert _evaluator(cond.left, narrow, compiled) is _eval_num
+    assert _evaluator(cond, BoolExpr, narrow, compiled) is _holds
+    assert _evaluator(cond.left, NumExpr, narrow, compiled) is _eval_num
     assert compiled == {}
-    fn = _evaluator(cond, wide, compiled)
+    fn = _evaluator(cond, BoolExpr, wide, compiled)
     assert fn is not _holds and compiled == {id(cond): fn}
-    assert _evaluator(cond, wide, compiled) is fn
+    assert _evaluator(cond, BoolExpr, wide, compiled) is fn
     # without a run's cache, as for rank() read by the interpreter
-    assert _evaluator(cond, wide, None) is _holds
+    assert _evaluator(cond, BoolExpr, wide, None) is _holds
 
 
 def nested(depth):
@@ -192,7 +193,8 @@ def test_trees_deeper_than_the_bound_stay_interpreted():
     deeper = nested(100)
     assert _compile(deeper, SLOTS, {}) is None
     compiled = {}
-    assert _evaluator(deeper, _Partial(entries, bound, SLOTS), compiled) is _holds
+    wide = _Partial(entries, bound, SLOTS)
+    assert _evaluator(deeper, BoolExpr, wide, compiled) is _holds
     assert compiled == {id(deeper): _holds}
 
 

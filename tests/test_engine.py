@@ -39,7 +39,24 @@ from rankpl.ranking import (
     normalize,
     rank_of,
 )
-from rankpl.syntax import Assign, BinOp, IntLit, Seq, Stmt, Var, pretty_print
+from rankpl.syntax import (
+    Assign,
+    BinOp,
+    Cmp,
+    IfThenElse,
+    IntLit,
+    Observe,
+    ObserveJ,
+    ObserveL,
+    RankedChoice,
+    RankOf,
+    Seq,
+    Skip,
+    Stmt,
+    Var,
+    While,
+    pretty_print,
+)
 
 GENERATORS = (random_program, random_sugar_program, random_loop_program)
 
@@ -396,6 +413,32 @@ class TestParsedTreeRunsDirectly:
         with pytest.raises(TypeError, match="not a statement"):
             run_program(Unknown())
 
+    #: hand-built trees that hold an expression of the wrong kind at a site
+    ILL_TYPED = {
+        "observe-number": Observe(IntLit(1)),
+        "assign-condition": Assign("x", (), Cmp("<", IntLit(1), IntLit(2))),
+        "offset-condition": RankedChoice(
+            Skip(), Cmp("<", IntLit(1), IntLit(2)), Assign("x", (), IntLit(1))
+        ),
+        "if-number": IfThenElse(Var("x"), Skip(), Skip()),
+        "while-number": While(Var("x"), Skip()),
+        "observe-j-number": ObserveJ(IntLit(1), Var("x")),
+        "observe-l-strength-condition": ObserveL(
+            Cmp("<", IntLit(1), IntLit(2)), Cmp("<", Var("x"), IntLit(1))
+        ),
+        "rank-of-number": Assign("y", (), RankOf(Var("x"))),
+    }
+
+    @pytest.mark.parametrize("statement", ILL_TYPED.values(), ids=ILL_TYPED.keys())
+    @pytest.mark.parametrize("width", [1, rankpl.engine._COMPILE_AT])
+    def test_a_site_of_the_wrong_kind_is_a_type_error(self, statement, width):
+        # each site checks the kind of its node, on a slice evaluated
+        # interpreted and on one evaluated compiled
+        prior = Ranking({Valuation({"x": x}): 0 for x in range(width)})
+        for opts in (None, SearchOptions(max_rank=0)):
+            with pytest.raises(TypeError, match="^not a (BoolExpr|NumExpr): "):
+                denote(statement, prior, opts)
+
 
 class TestLeftNestedSequences:
     def test_a_3000_deep_left_nested_sequence_runs(self):
@@ -430,6 +473,27 @@ def record_budgets(monkeypatch) -> list:
 
     monkeypatch.setattr(rankpl.engine, "_Round", counting)
     return budgets
+
+
+class TestSearchOptions:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"max_rank": True},
+            {"max_rank": 1.0},
+            {"max_rank": -1},
+            {"max_outcomes": True},
+            {"max_outcomes": 1.5},
+            {"max_outcomes": 0},
+            {"max_while_iterations": True},
+            {"max_while_iterations": 2.5},
+            {"max_while_iterations": 0},
+        ],
+    )
+    def test_each_limit_is_an_int_not_a_bool(self, fields):
+        with pytest.raises(ValueError):
+            SearchOptions(**fields)
+        SearchOptions(max_rank=0, max_outcomes=1, max_while_iterations=1)
 
 
 class TestBudgets:
@@ -490,6 +554,34 @@ class TestBudgets:
         )
         assert (code, got, err) == (0, out, "")
         assert budgets == rounds
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            INTRO_OBSERVE,
+            "x := 0; while x < 3 do { x := x + 1 or(1) x + 2; }; observe x == 4;",
+            "x := any_of(0 .. 3); observeL(2, x < 1); y := 1 or(x) 2;",
+        ],
+    )
+    def test_every_run_goes_through_one_round_loop(self, monkeypatch, source):
+        # an unbounded run is one exact round; a bounded run_program deepens
+        # through the same rounds as the enumeration it collects
+        budgets = record_budgets(monkeypatch)
+        program = parse_program(source)
+        run_program(program)
+        denote(program, TestBoundedDenote.GRADED)
+        assert budgets == [INF, INF]
+        for opts in (
+            SearchOptions(max_rank=0),
+            SearchOptions(max_rank=2),
+            SearchOptions(max_outcomes=1),
+        ):
+            budgets.clear()
+            run_program(program, opts)
+            ran = list(budgets)
+            budgets.clear()
+            list(enumerate_outcomes(program, opts))
+            assert budgets == ran and ran[0] == 0
 
 
     def test_any_budget_sequence_is_sound(self):
