@@ -20,8 +20,6 @@ import argparse
 import json
 import re
 import sys
-from itertools import groupby
-from operator import itemgetter
 
 from .engine import EvalError, SearchOptions, enumerate_outcomes
 from .parser import ParseError, _is_name, _lex, parse_program
@@ -236,22 +234,26 @@ def _read_defines(args) -> dict:
     return defines
 
 
-def _fresh(stream, projection, errors: list):
-    """``(rank, items)`` for each outcome whose projected bindings, as
-    ``Valuation.items``, are new; tuples hash and compare in C.  A runtime
-    error ends the outcomes and goes to ``errors``: a round raises before it
-    yields, so every rank yielded by then is complete."""
-    seen = set()
+def _projected(lines, projection):
+    """The new projected ``(rank, items)`` of ``lines``, ``items`` as
+    ``Valuation.items``.  Projection can repeat and reorder a rank's lines, so
+    its new ones wait until it closes: at a new line of a later rank, at the
+    end, or at a runtime error, which a round raises before it yields."""
+    seen = set()  # the projected items printed, as tuples: they hash in C
+    held = []  # the open rank's new lines
     try:
-        for outcome in stream:
-            items = outcome.valuation.items
-            if projection is not None:
-                items = tuple(item for item in items if item[0][0] in projection)
+        for rank, items in lines:
+            items = tuple(item for item in items if item[0][0] in projection)
             if items not in seen:
                 seen.add(items)
-                yield outcome.rank, items
-    except EvalError as exc:
-        errors.append(exc)
+                if held and held[0][0] < rank:
+                    yield from sorted(held)
+                    held = []
+                held.append((rank, items))
+    except EvalError:
+        yield from sorted(held)
+        raise
+    yield from sorted(held)
 
 
 def cmd_run(args, out) -> int:
@@ -276,19 +278,17 @@ def cmd_run(args, out) -> int:
         }
     names = None if projection is None else sorted(projection)
     stream = enumerate_outcomes(Seq(binding_prelude(defines), program), options)
-    errors = []
+    if args.top == 0 and next(stream, None):  # an outcome: the run did not fail
+        return EXIT_OK
+    # a rank's outcomes arrive sorted and distinct: each prints on arrival
+    lines = ((outcome.rank, outcome.valuation.items) for outcome in stream)
+    if projection is not None:
+        lines = _projected(lines, projection)
     emitted = 0
-    for rank, group in groupby(_fresh(stream, projection, errors), key=itemgetter(0)):
-        if args.top == 0:  # an outcome arrived, so the run did not fail
+    for emitted, (rank, items) in enumerate(lines, 1):
+        _emit(out, rank, items, names, args.format)
+        if emitted == args.top:
             return EXIT_OK
-        # a rank's outcomes arrive sorted; a projection can reorder them
-        for _, items in sorted(group):
-            _emit(out, rank, items, names, args.format)
-            emitted += 1
-            if emitted == args.top:
-                return EXIT_OK
-    if errors:
-        raise errors[0]
     if emitted == 0:
         # no outcome arrived (each one is printed or ends the run at --top),
         # and only the failure ranking has none at any --max-rank
@@ -357,9 +357,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--iter-limit",
         type=int,
-        default=10000,
+        default=SearchOptions.max_while_iterations,
         metavar="N",
-        help="while-loop iteration limit (default 10000)",
+        help="while-loop iteration limit (default %(default)s)",
     )
     run.add_argument(
         "--format", choices=("text", "records"), default="text",

@@ -42,16 +42,16 @@ without a slot reads 0.  States become ``Valuation``s only where they leave
 the interpreter: as the ``Outcome``s of ``enumerate_outcomes`` and the
 ``Ranking`` of ``denote``.
 
-Every run, through ``enumerate_outcomes``, ``denote`` or ``run_program``,
-is one loop of rounds, ``_proven``, and each finished round hands over the
-outcomes it newly proves.  A bounded run (finite ``max_rank`` or
-``max_outcomes``) runs the program repeatedly under a rank budget that at
-least doubles per round, pruning every choice alternative whose accumulated
-rank exceeds the budget, so outcomes come out in ascending rank order as
-soon as they are provably final.  An unbounded run wants every outcome, so
-it runs once at infinite budget, which prunes nothing, and hands over the
-whole result only when the whole program has run: a runtime error anywhere
-in it ends the run before the first outcome.
+Every run, through ``enumerate_outcomes``, ``denote`` or ``run_program``, is
+one loop of rounds, ``_proven``, which alone applies ``SearchOptions``; each
+finished round hands over the outcomes it newly proves.  A bounded run
+(finite ``max_rank`` or ``max_outcomes``) runs the program repeatedly under
+a rank budget that at least doubles per round, pruning every choice
+alternative whose accumulated rank exceeds the budget, so outcomes come out
+in ascending rank order as soon as they are provably final.  An unbounded
+run wants every outcome, so it runs once at infinite budget, which prunes
+nothing, and hands over the whole result only when the whole program has
+run: a runtime error anywhere in it ends the run before the first outcome.
 
 Each budget round computes a truncated ranking together with an exactness
 bound: the entries at or below the bound are exactly the full result's
@@ -131,7 +131,7 @@ class _InsufficientBudget(Exception):
     """This round's visible states cannot settle the semantics; deepen."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchOptions:
     max_rank: "int | object" = INF
     max_outcomes: int | None = None
@@ -795,17 +795,20 @@ def _start(program: Stmt, prior: dict):
     return _Partial(states, INF, slots)
 
 
-def _proven(program: Stmt, prior: dict, opts: SearchOptions):
+def _proven(program: Stmt, prior: dict, opts: SearchOptions | None):
     """The rounds of a run of ``program`` from ``prior``, a map of valuations
-    to ranks: for each finished round, the ``(rank, items)`` pairs it newly
-    proves, in no order, ``items`` as ``Valuation.items``.  The caller stops
-    the rounds by no longer pulling them."""
+    to ranks, under ``opts``, which nothing else applies: for each finished
+    round, the ``(rank, items)`` pairs it newly proves, ``items`` as
+    ``Valuation.items``, unordered unless sorted to cut them to the
+    ``max_outcomes`` still wanted; no round runs once they are out."""
+    opts = opts or SearchOptions()
     start = _start(program, prior)
     compiled = {}
     yielded = -1  # the outcomes ranked at or below this have been yielded
+    wanted = opts.max_outcomes or INF  # how many more outcomes
     # with every outcome wanted, deepening would only replay the program;
     # one round at infinite budget prunes nothing and is the exact result
-    unbounded = opts.max_rank is INF and opts.max_outcomes is None
+    unbounded = opts.max_rank is INF and wanted is INF
     budget = INF if unbounded else 0
     while True:
         ctx = _Round(budget, opts.max_while_iterations)
@@ -825,12 +828,16 @@ def _proven(program: Stmt, prior: dict, opts: SearchOptions):
         # are identical now, so fresh outcomes always rank above them; ranks
         # stay below RANK_LIMIT, and ints compare faster than INF
         top = RANK_LIMIT if trusted is INF else trusted
-        yield [
+        fresh = [
             (rank, _items(state, start.slots))
             for state, rank in result.entries.items()
             if yielded < rank <= top
         ]
-        if result.bound is INF or trusted >= opts.max_rank:
+        if len(fresh) > wanted:
+            fresh = sorted(fresh)[:wanted]
+        wanted -= len(fresh)
+        yield fresh
+        if wanted == 0 or result.bound is INF or trusted >= opts.max_rank:
             return
         yielded = max(yielded, trusted)
         budget = ctx.next_budget()
@@ -840,9 +847,10 @@ def enumerate_outcomes(s: Stmt, opts: SearchOptions | None = None):
     """A generator of the program's outcomes, most-plausible-first.
 
     Yields every outcome of rank at most ``opts.max_rank`` exactly once, in
-    nondecreasing rank order, matching ``run_program``'s result whenever
-    that run terminates without error.  It yields nothing exactly when the
-    result is the failure ranking, whose support is empty: every other
+    nondecreasing rank order, and at most ``opts.max_outcomes`` of them, as
+    ``_proven`` applies both limits; it matches ``run_program``'s result
+    whenever that run ends without error.  It yields nothing exactly when
+    the result is the failure ranking, whose support is empty: every other
     ranking holds a state at rank 0.  Raises :class:`EvalError` on a
     runtime error.
 
@@ -852,14 +860,9 @@ def enumerate_outcomes(s: Stmt, opts: SearchOptions | None = None):
     follow some outcomes.  Without either limit the program runs once,
     exactly, and nothing is yielded before that run completes.
     """
-    opts = opts or SearchOptions()
-    count = 0
     for fresh in _proven(s, {Valuation(): 0}, opts):
         for rank, items in sorted(fresh):
             yield Outcome(Valuation._from_sorted(items), rank)
-            count += 1
-            if count == opts.max_outcomes:
-                return
 
 
 def initial_ranking() -> Ranking:
@@ -876,18 +879,14 @@ def denote(s: Stmt, kappa: Ranking, opts: SearchOptions | None = None) -> Rankin
 
     Without a ``max_rank`` or ``max_outcomes`` it runs once at infinite
     budget, where nothing is pruned, into the exact posterior; with either
-    limit it collects what enumeration from ``kappa`` yields.  The failure
-    ranking is a legal result; runtime errors raise :class:`EvalError`."""
-    opts = opts or SearchOptions()
-    entries = {}
-    for fresh in _proven(s, dict(kappa.items()), opts):
-        if opts.max_outcomes is not None:
-            # the most plausible outcomes, as ``enumerate_outcomes`` yields them
-            fresh = sorted(fresh)[: opts.max_outcomes - len(entries)]
-        for rank, items in fresh:
-            entries[Valuation._from_sorted(items)] = rank
-        if len(entries) == opts.max_outcomes:
-            break
+    limit, which ``_proven`` applies, it holds what enumeration from
+    ``kappa`` yields.  The failure ranking is a legal result; runtime errors
+    raise :class:`EvalError`."""
+    entries = {
+        Valuation._from_sorted(items): rank
+        for fresh in _proven(s, dict(kappa.items()), opts)
+        for rank, items in fresh
+    }
     return Ranking(entries) if entries else FAILURE
 
 

@@ -29,6 +29,21 @@ def collect(stream):
     return Ranking({o.valuation: o.rank for o in stream})
 
 
+def record_budgets(monkeypatch) -> list:
+    """The budgets of the deepening rounds that run from now on, in order."""
+    import rankpl.engine
+
+    budgets = []
+    make_round = rankpl.engine._Round
+
+    def counting(budget, iteration_limit):
+        budgets.append(budget)
+        return make_round(budget, iteration_limit)
+
+    monkeypatch.setattr(rankpl.engine, "_Round", counting)
+    return budgets
+
+
 LOCALIZATION_ARGS = [
     "--input",
     str(PROGRAMS / "localization_map.input"),

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import rankpl.cli
-from conftest import LOCALIZATION_ARGS, run_cli
+from conftest import LOCALIZATION_ARGS, record_budgets, run_cli
 
 
 #: the most digits int() converts (sys.get_int_max_str_digits)
@@ -154,26 +154,33 @@ class TestRun:
         assert err == "runtime error: division-by-zero at line 1, column 81\n"
 
     @pytest.mark.parametrize(
-        "options, code, lines",
+        "options, code, lines, rounds",
         [
-            (["--top", "2"], 0, "rank 0: x=1\nrank 1: x=1, y=1\n"),
-            (["--top", "1", "--project", "x"], 0, "rank 0: x=1\n"),
-            (["--top", "2", "--project", "x"], 3, "rank 0: x=1\n"),
+            (["--top", "2"], 0, "rank 0: x=1\nrank 1: x=1, y=1\n", [0, 1]),
+            (["--top", "1"], 0, "rank 0: x=1\n", [0]),
+            (["--top", "1", "--project", "x"], 0, "rank 0: x=1\n", [0, 1, 3]),
+            (["--top", "2", "--project", "x"], 3, "rank 0: x=1\n", [0, 1, 3]),
         ],
-        ids=["top-2", "top-1-projected", "top-2-projected"],
+        ids=["top-2", "top-1", "top-1-projected", "top-2-projected"],
     )
-    def test_top_returns_once_its_lines_are_out(self, tmp_path, options, code, lines):
+    def test_top_returns_once_its_lines_are_out(
+        self, tmp_path, monkeypatch, options, code, lines, rounds
+    ):
         # the program of the test above: the run ends at its --top'th line,
-        # before the rank-2 alternative raises; under --project x only one
-        # distinct line is proven before the error
+        # before the rank-2 alternative raises in the round at budget 3.
+        # Unprojected lines print as they arrive, so no round runs after the
+        # last one; projected lines wait for their rank to close, and under
+        # --project x only one distinct line is proven before the error
         path = tmp_path / "late.rpl"
         path.write_text(
             "either { y := 0; } or (1) { y := 1; }; x := 1; "
             "either { skip; } or (2) { z := 1 / 0; };\n"
         )
+        budgets = record_budgets(monkeypatch)
         got = run_cli(["run", str(path), "--max-rank", "5", *options])
         error = "runtime error: division-by-zero at line 1, column 81\n"
         assert got == (code, lines, error if code else "")
+        assert budgets == rounds
 
     def test_internal_error_exit_code(self, tmp_path, monkeypatch):
         import rankpl.cli

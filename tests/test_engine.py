@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 import rankpl.engine
 import rankpl.syntax
 import oracle
-from conftest import collect, run_cli
+from conftest import collect, record_budgets, run_cli
 from oracle import oracle_ranking
 from proggen import (
     random_loop_program,
@@ -462,19 +463,6 @@ class TestLeftNestedSequences:
         assert oracle_ranking(left) == Ranking({Valuation({"x": 2999}): 0})
 
 
-def record_budgets(monkeypatch) -> list:
-    """The budgets of the deepening rounds that run from now on, in order."""
-    budgets = []
-    make_round = rankpl.engine._Round
-
-    def counting(budget, iteration_limit):
-        budgets.append(budget)
-        return make_round(budget, iteration_limit)
-
-    monkeypatch.setattr(rankpl.engine, "_Round", counting)
-    return budgets
-
-
 class TestSearchOptions:
     @pytest.mark.parametrize(
         "fields",
@@ -494,6 +482,13 @@ class TestSearchOptions:
         with pytest.raises(ValueError):
             SearchOptions(**fields)
         SearchOptions(max_rank=0, max_outcomes=1, max_while_iterations=1)
+
+    def test_limits_cannot_change_after_their_checks(self):
+        o = SearchOptions(max_outcomes=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            o.max_outcomes = 1.5
+        program = parse_program("x := any_of(0 .. 4);")
+        assert list(enumerate_outcomes(program, o)) == [Outcome(Valuation(), 0)]
 
 
 class TestBudgets:
