@@ -9,9 +9,9 @@ tokens integer values.  ``--format records`` emits one JSON object per line,
 ``{"rank": ..., "bindings": {...}}``, with the same content as the text
 lines, and ``{"failed": true}`` for the failure ranking.
 
-Exit codes: 0 success, 1 failure ranking, 2 parse error, 3 runtime error,
-4 input/output error, 5 internal error (an unexpected exception in the
-interpreter itself).
+Exit codes: 0 success, 1 failure ranking, 2 parse error or bad command line,
+3 runtime error, 4 input/output error, 5 internal error (an unexpected
+exception in the interpreter itself).
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import sys
 
 from .engine import EvalError, SearchOptions, enumerate_outcomes
 from .parser import ParseError, _is_name, _lex, parse_program
-from .ranking import INF, format_binding
-from .syntax import Assign, IntLit, Seq, Skip
+from .ranking import INF, format_binding, format_bindings
+from .syntax import Assign, IntLit, Seq, Skip, sequence
 
 #: the stdout line of the failure ranking, per ``--format``
 FAILED_LINES = {
@@ -177,10 +177,7 @@ def binding_prelude(defines: dict):
                 )
             else:
                 statements.append(Assign(name, indices, IntLit(value)))
-    prelude = Skip()
-    for stmt in reversed(statements):
-        prelude = Seq(stmt, prelude)
-    return prelude
+    return sequence(statements) if statements else Skip()
 
 
 # -- output ---------------------------------------------------------------------
@@ -203,8 +200,7 @@ def _emit(out, rank, items, names, fmt):
             bindings = {format_binding(key): value for key, value in items}
             line = json.dumps({"rank": rank, "bindings": bindings}, sort_keys=True)
         else:
-            shown = ", ".join(f"{format_binding(k)}={v}" for k, v in items)
-            line = f"rank {rank}: {shown or '(all variables 0)'}"
+            line = f"rank {rank}: {format_bindings(items) or '(all variables 0)'}"
     except ValueError as exc:
         # int() refuses to print more than sys.get_int_max_str_digits() digits
         raise OutputError(f"cannot print an outcome: {exc}") from None
@@ -237,18 +233,18 @@ def _read_defines(args) -> dict:
 def _projected(lines, projection):
     """The new projected ``(rank, items)`` of ``lines``, ``items`` as
     ``Valuation.items``.  Projection can repeat and reorder a rank's lines, so
-    its new ones wait until it closes: at a new line of a later rank, at the
-    end, or at a runtime error, which a round raises before it yields."""
+    its new ones wait until it closes: at the first outcome of a later rank,
+    at the end, or at a runtime error, which a round raises before it yields."""
     seen = set()  # the projected items printed, as tuples: they hash in C
     held = []  # the open rank's new lines
     try:
         for rank, items in lines:
+            if held and held[0][0] < rank:
+                yield from sorted(held)
+                held = []
             items = tuple(item for item in items if item[0][0] in projection)
             if items not in seen:
                 seen.add(items)
-                if held and held[0][0] < rank:
-                    yield from sorted(held)
-                    held = []
                 held.append((rank, items))
     except EvalError:
         yield from sorted(held)

@@ -44,12 +44,12 @@ from .syntax import (
     Or,
     RankedChoice,
     RankOf,
-    Seq,
     Skip,
     Stmt,
     UniformPick,
     Var,
     While,
+    sequence,
 )
 
 KEYWORDS = frozenset(
@@ -221,10 +221,7 @@ class _Parser:
             statements.append(parse(self, self.pos, stop))
         if not statements:
             return Skip(pos=self.where[self.pos])
-        result = statements[-1]
-        for stmt in reversed(statements[:-1]):
-            result = Seq(stmt, result, pos=stmt.pos)
-        return result
+        return sequence(statements)
 
     def block(self) -> Stmt:
         self.expect("{")

@@ -187,7 +187,7 @@ class Valuation:
         return self._items < other._items
 
     def __repr__(self):
-        return f"Valuation({format_bindings(self)})"
+        return f"Valuation({format_bindings(self._items)})"
 
 
 def format_binding(key) -> str:
@@ -195,8 +195,9 @@ def format_binding(key) -> str:
     return name + "".join(f"[{i}]" for i in indices)
 
 
-def format_bindings(valuation: Valuation) -> str:
-    return ", ".join(f"{format_binding(k)}={v}" for k, v in valuation.items)
+def format_bindings(items: tuple) -> str:
+    """``name=value, ...`` for bindings given as ``Valuation.items``."""
+    return ", ".join(f"{format_binding(k)}={v}" for k, v in items)
 
 
 #: An event: a predicate over valuations, given either intensionally as a
@@ -258,7 +259,7 @@ class Ranking:
     def __repr__(self):
         if self.is_failure:
             return "Ranking.FAILURE"
-        inner = ", ".join(f"{{{format_bindings(v)}}}: {r}" for v, r in self.items())
+        inner = ", ".join(f"{{{format_bindings(v.items)}}}: {r}" for v, r in self.items())
         return f"Ranking({inner})"
 
 
@@ -310,13 +311,16 @@ def firmness(kappa: Ranking, event: Event) -> Rank:
 
 
 def _check_two_sided(kappa: Ranking, event: Event, strength: Rank, what: str):
+    """The event's rank and its firmness, once both are known finite."""
     if strength is INF:
         raise ConditioningError(f"{what} undefined: strength must be finite")
     as_rank(strength)
-    if rank_of(kappa, event) is INF or firmness(kappa, event) is INF:
+    in_rank, out_rank = rank_of(kappa, event), firmness(kappa, event)
+    if in_rank is INF or out_rank is INF:
         raise ConditioningError(
             f"{what} undefined: the event and its complement must both have finite rank"
         )
+    return in_rank, out_rank
 
 
 def j_condition(kappa: Ranking, event: Event, strength: Rank) -> Ranking:
@@ -326,9 +330,7 @@ def j_condition(kappa: Ranking, event: Event, strength: Rank) -> Ranking:
     complement shifted up by the strength; the event's prior rank and its
     complement's prior rank must both be finite.
     """
-    _check_two_sided(kappa, event, strength, "J-conditioning")
-    in_rank = rank_of(kappa, event)
-    out_rank = firmness(kappa, event)
+    in_rank, out_rank = _check_two_sided(kappa, event, strength, "J-conditioning")
     entries = {}
     for valuation, rank in kappa.items():
         if event_holds(event, valuation):
@@ -345,8 +347,7 @@ def l_condition(kappa: Ranking, event: Event, strength: Rank) -> Ranking:
     reversible (condition on the complement with the same strength to undo)
     and commutative across different events.
     """
-    _check_two_sided(kappa, event, strength, "L-conditioning")
-    in_rank = rank_of(kappa, event)
+    in_rank, _ = _check_two_sided(kappa, event, strength, "L-conditioning")
     down = min(in_rank, strength)
     entries = {}
     for valuation, rank in kappa.items():

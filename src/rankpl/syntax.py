@@ -195,6 +195,16 @@ def statements(s: Stmt):
             yield s
 
 
+def sequence(stmts) -> Stmt:
+    """The right-nested ``Seq`` that runs the non-empty list ``stmts`` in
+    order, each node at its first statement's position: the reverse of
+    :func:`statements`, and the shape the parser builds."""
+    result = stmts[-1]
+    for stmt in reversed(stmts[:-1]):
+        result = Seq(stmt, result, pos=stmt.pos)
+    return result
+
+
 # -- expansions ---------------------------------------------------------------
 
 
@@ -284,12 +294,7 @@ def desugar(s: Stmt) -> Stmt:
     associative, so this is meaning-preserving), however they were nested.
     """
     if isinstance(s, Seq):
-        lowered = [desugar(stmt) for stmt in statements(s)]
-        result = lowered.pop()
-        while lowered:
-            first = lowered.pop()
-            result = Seq(first, result, pos=first.pos)
-        return result
+        return sequence([desugar(stmt) for stmt in statements(s)])
     if isinstance(s, Skip):
         return s
     if isinstance(s, Assign):

@@ -22,6 +22,7 @@ from rankpl.syntax import (
     UniformPick,
     Var,
     While,
+    sequence,
 )
 
 # general-purpose variables take arbitrary values; the penalty pool only ever
@@ -75,16 +76,8 @@ def _statement(rng, depth):
     return IfThenElse(_cond(rng), _block(rng, depth - 1), _block(rng, depth - 1))
 
 
-def _seq(statements):
-    """The right-nested sequence the parser builds for ``statements``."""
-    block = statements[-1]
-    for stmt in reversed(statements[:-1]):
-        block = Seq(stmt, block)
-    return block
-
-
 def _block(rng, depth):
-    return _seq([_statement(rng, depth) for _ in range(rng.randrange(1, 4))])
+    return sequence([_statement(rng, depth) for _ in range(rng.randrange(1, 4))])
 
 
 def random_program(rng, depth=4):
@@ -175,7 +168,7 @@ def _sugar_statement(rng, depth):
 
 
 def _sugar_block(rng, depth):
-    return _seq([_sugar_statement(rng, depth) for _ in range(rng.randrange(1, 4))])
+    return sequence([_sugar_statement(rng, depth) for _ in range(rng.randrange(1, 4))])
 
 
 def random_sugar_program(rng, depth=3):
@@ -292,7 +285,7 @@ def _loop_statement(rng, depth, counters):
 
 def _loop_block(rng, depth, counters):
     count = rng.randrange(1, 4)
-    return _seq([_loop_statement(rng, depth, counters) for _ in range(count)])
+    return sequence([_loop_statement(rng, depth, counters) for _ in range(count)])
 
 
 def random_loop_program(rng, depth=3):

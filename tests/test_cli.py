@@ -158,7 +158,7 @@ class TestRun:
         [
             (["--top", "2"], 0, "rank 0: x=1\nrank 1: x=1, y=1\n", [0, 1]),
             (["--top", "1"], 0, "rank 0: x=1\n", [0]),
-            (["--top", "1", "--project", "x"], 0, "rank 0: x=1\n", [0, 1, 3]),
+            (["--top", "1", "--project", "x"], 0, "rank 0: x=1\n", [0, 1]),
             (["--top", "2", "--project", "x"], 3, "rank 0: x=1\n", [0, 1, 3]),
         ],
         ids=["top-2", "top-1", "top-1-projected", "top-2-projected"],
@@ -169,8 +169,10 @@ class TestRun:
         # the program of the test above: the run ends at its --top'th line,
         # before the rank-2 alternative raises in the round at budget 3.
         # Unprojected lines print as they arrive, so no round runs after the
-        # last one; projected lines wait for their rank to close, and under
-        # --project x only one distinct line is proven before the error
+        # last one.  A projected line waits for its rank to close, which the
+        # rank-1 outcome of the round at budget 1 does; under --project x
+        # that outcome projects to the line already printed, so only one
+        # distinct line is proven before the error
         path = tmp_path / "late.rpl"
         path.write_text(
             "either { y := 0; } or (1) { y := 1; }; x := 1; "

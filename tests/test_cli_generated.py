@@ -12,13 +12,17 @@ spelled as tokens that ``--enum`` maps.  The expected stdout and exit code
 come from the oracle's ranking of the program after the defines, formatted
 here.  One program in five is also run with an option naming something no
 program or value can name, which must end the run with an input error.
+
+Two more checks need no oracle: faulty programs under ``--max-rank`` run
+with ``--top`` against the same run without it, and fuzzed option values
+and input files end in a result or an input error, never an internal one.
 """
 
 import dataclasses
 import json
 import random
 
-from conftest import run_cli
+from conftest import record_budgets, run_cli
 from oracle import oracle_ranking
 from proggen import (
     ARRAY,
@@ -205,3 +209,80 @@ def test_generated_programs_run_as_the_oracle_says(tmp_path):
     assert seen["bad"] == {bad[1] for bad in BAD_NAMES}
     assert min(seen["records"], seen["projected"], seen["odd"]) > 0
     assert min(seen["inputs"], seen["arrays"], seen["tokens"]) > 0
+
+
+def test_top_cuts_the_run_without_it_under_max_rank(tmp_path, monkeypatch):
+    # no oracle: a faulty program's bounded run may spare its error above the
+    # limit, so each --top run is checked against the same run without --top
+    rng = random.Random(4141)
+    budgets = record_budgets(monkeypatch)
+    seen = {"errors": 0, "cut_errors": 0, "fewer_rounds": 0, "failed": 0}
+    for index in range(300):
+        program = with_runtime_error(rng, GENERATORS[index % 3](rng))
+        path = tmp_path / f"p{index}.rpl"
+        path.write_text(pretty_print(program) + "\n")
+        every = names(program)[1]
+        for projected in (False, True):
+            argv = ["run", str(path), "--max-rank", str(rng.choice([0, 1, 2, 3, 5]))]
+            if projected:
+                argv += ["--project", ",".join(rng.sample(every, rng.randrange(1, 3)))]
+            if rng.random() < 0.3:
+                argv += ["--format", "records"]
+            where = f"case {index}: {' '.join(argv[2:])}\n{pretty_print(program)}"
+            budgets.clear()
+            whole = run_cli(argv)
+            rounds = list(budgets)
+            code, out, _ = whole
+            assert code in (0, 1, 3), where
+            lines = out.splitlines(keepends=True) if code != 1 else []
+            seen["errors"] += code == 3
+            seen["failed"] += code == 1
+            for top in (0, 1, 2, 3):
+                budgets.clear()
+                got = run_cli(argv + ["--top", str(top)])
+                if top == 0 and lines:
+                    assert got == (0, "", ""), where
+                elif 0 < top <= len(lines):
+                    assert got == (0, "".join(lines[:top]), ""), where
+                    seen["cut_errors"] += code == 3
+                else:
+                    assert got == whole, where
+                assert budgets == rounds[: len(budgets)], where
+                seen["fewer_rounds"] += len(budgets) < len(rounds)
+    assert min(seen.values()) > 0, seen
+
+
+#: what the fuzzed option values and input files are drawn from
+ALPHABET = list("[],-+0123456789aAxz_é漢= ") + ["//", "\n", "\0", "\ufeff"]
+
+
+def fuzzed(rng, longest):
+    return "".join(rng.choice(ALPHABET) for _ in range(rng.randrange(longest + 1)))
+
+
+def test_fuzzed_inputs_are_results_or_input_errors(tmp_path):
+    program = tmp_path / "reads.rpl"
+    program.write_text(
+        "either { x := a; } or (1) { x := a[1] + b; }; observe x != 2; y := 6 / (x - 5);\n"
+    )
+    rng = random.Random(5353)
+    seen = set()
+    for index in range(4000):
+        argv = ["run", str(program)]
+        if rng.random() < 0.7:
+            name = rng.choice(["a", "b", "é"]) if rng.random() < 0.8 else fuzzed(rng, 3)
+            argv.append(f"--define={name}={fuzzed(rng, 8)}")
+        if rng.random() < 0.3:
+            argv.append(f"--enum={fuzzed(rng, 8)}")
+        if rng.random() < 0.3:
+            argv.append(f"--project={fuzzed(rng, 4)}")
+        if rng.random() < 0.3:
+            path = tmp_path / f"in{index}.input"
+            path.write_text(fuzzed(rng, 16), encoding="utf-8")
+            argv.append(f"--input={path}")
+        code, out, err = run_cli(argv)
+        seen.add(code)
+        assert code in (0, 1, 3, 4), argv
+        if code == 4:
+            assert out == "" and err.count("\n") == 1 and err.endswith("\n"), argv
+    assert {0, 3, 4} <= seen, seen

@@ -225,6 +225,23 @@ class TestLCondition:
             l_condition(k, IN_A, 1)
 
 
+@pytest.mark.parametrize("revise", [j_condition, l_condition])
+def test_two_sided_conditioning_reads_the_event_three_times(revise):
+    # ranks fall along valuation order, so the scans for the event's rank and
+    # for its firmness each read every valuation; the revision reads each
+    # once more, and neither scan runs again after the precondition check
+    k = ranking(*((val(v=v), 9 - v) for v in range(10)))
+    reads = []
+
+    def even(valuation):
+        reads.append(valuation)
+        return valuation.get("v") % 2 == 0
+
+    expected = revise(k, {val(v=v) for v in range(0, 10, 2)}, 2)
+    assert revise(k, even, 2) == expected
+    assert len(reads) == 3 * len(k)
+
+
 class TestFirmness:
     def test_rank_of_complement(self):
         k = ranking((A1, 0), (B1, 2))
