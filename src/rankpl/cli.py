@@ -183,18 +183,20 @@ def binding_prelude(defines: dict):
 # -- output ---------------------------------------------------------------------
 
 
-def _emit(out, rank, items, names, fmt):
+def _emit(out, rank, items, keys, fmt):
     """Print one outcome, ``items`` its bindings as ``Valuation.items``.
 
-    Projected ``names`` (sorted) always appear (scalars default to 0);
-    indexed variables contribute their bound entries.  Without a
-    projection, all non-zero bindings are shown.
+    Under a projection, ``keys`` holds the ``(name, ())`` key of each
+    projected name, sorted: every name appears (scalars default to 0), and
+    indexed variables contribute their bound entries.  Without one, all
+    non-zero bindings are shown.
     """
     try:
-        if names is not None:
+        # items that bind each projected name as a scalar miss none of them
+        if keys is not None and [key for key, _ in items] != keys:
             bound = {key[0] for key, _ in items}
-            if len(bound) < len(names):
-                unbound = [((name, ()), 0) for name in names if name not in bound]
+            if len(bound) < len(keys):
+                unbound = [(key, 0) for key in keys if key[0] not in bound]
                 items = sorted(items + tuple(unbound))
         if fmt == "records":
             bindings = {format_binding(key): value for key, value in items}
@@ -242,7 +244,7 @@ def _projected(lines, projection):
             if held and held[0][0] < rank:
                 yield from sorted(held)
                 held = []
-            items = tuple(item for item in items if item[0][0] in projection)
+            items = tuple([item for item in items if item[0][0] in projection])
             if items not in seen:
                 seen.add(items)
                 held.append((rank, items))
@@ -267,22 +269,22 @@ def cmd_run(args, out) -> int:
         max_rank=INF if args.max_rank is None else args.max_rank,
         max_while_iterations=args.iter_limit,
     )
-    projection = None
+    projection = keys = None
     if args.project is not None:
         projection = {
             _variable_name(name) for name in args.project.split(",") if name.strip()
         }
-    names = None if projection is None else sorted(projection)
+        keys = [(name, ()) for name in sorted(projection)]
     stream = enumerate_outcomes(Seq(binding_prelude(defines), program), options)
     if args.top == 0 and next(stream, None):  # an outcome: the run did not fail
         return EXIT_OK
     # a rank's outcomes arrive sorted and distinct: each prints on arrival
-    lines = ((outcome.rank, outcome.valuation.items) for outcome in stream)
+    lines = ((rank, valuation.items) for valuation, rank in stream)
     if projection is not None:
         lines = _projected(lines, projection)
     emitted = 0
     for emitted, (rank, items) in enumerate(lines, 1):
-        _emit(out, rank, items, names, args.format)
+        _emit(out, rank, items, keys, args.format)
         if emitted == args.top:
             return EXIT_OK
     if emitted == 0:

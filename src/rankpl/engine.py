@@ -28,7 +28,15 @@ expression on every state of its slice.  Once the slice holds
 ``_COMPILE_AT`` states, the expression is compiled to a Python function,
 once per run, and evaluated through it; a narrower site calls
 ``_eval_num``/``_holds`` directly, so small runs never pay for a compile.
-Trees too deep for CPython to compile stay interpreted.  No option sets this.
+Trees too deep for CPython to compile stay interpreted.  On a slice of
+``_COMPILE_AT`` states or more, a slice-constant expression, one that reads
+no variable outside a ``rank()`` (see ``_reads``), is evaluated once per
+step, on the slice's first state, where the per-state loop would evaluate
+it first: a choice offset, a graded observation's strength and observeL's
+guard, and an ``if`` or ``while`` guard.  Its error and the round that
+deepens stay the same; a choice forms one group, the slice itself, and a
+branching step sends the whole slice to one side.  No option sets any of
+this.
 A site names the kind of expression it wants, condition or number, and a
 hand-built tree that holds the other kind there raises ``TypeError``.
 
@@ -71,7 +79,9 @@ CLI each rank's projected lines.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ranking import FAILURE, INF, RANK_LIMIT, RankArithmeticError, Ranking, Valuation
 from .syntax import (
@@ -151,8 +161,7 @@ def _at_least(value, least: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     valuation: Valuation
     rank: int
 
@@ -197,9 +206,10 @@ def _state(valuation: Valuation, slots: dict) -> tuple:
     return tuple(state)
 
 
-def _items(state: tuple, slots: dict) -> tuple:
-    """The bindings of ``state``, laid out by ``slots``, as ``Valuation.items``."""
-    items = [((name, ()), value) for name, value in zip(slots, state) if value]
+def _items(state: tuple, keys: list) -> tuple:
+    """The bindings of ``state`` as ``Valuation.items``, ``keys`` the
+    ``(name, ())`` key of each of its scalar slots."""
+    items = [(key, value) for key, value in zip(keys, state) if value]
     if state[-1] is not None:
         items += state[-1].items
         items.sort()
@@ -228,13 +238,15 @@ class _Partial:
 
 
 class _Round:
-    __slots__ = ("budget", "iteration_limit", "min_pruned", "compiled")
+    __slots__ = ("budget", "iteration_limit", "min_pruned", "compiled", "reads")
 
     def __init__(self, budget: int, iteration_limit: int):
         self.budget = budget
         self.iteration_limit = iteration_limit
         self.min_pruned = INF
-        self.compiled = {}  # see ``_evaluator``; shared by a run's rounds
+        # see ``_evaluator`` and ``_reads``; both shared by a run's rounds
+        self.compiled = {}
+        self.reads = {}
 
     def note_pruned(self, rank: int):
         if rank < self.min_pruned:
@@ -370,6 +382,41 @@ def _holds(sigma: tuple, partial: _Partial, b: BoolExpr) -> bool:
     if t is Or:
         return _holds(sigma, partial, b.left) or _holds(sigma, partial, b.right)
     raise TypeError(f"not a boolean expression: {b!r}")
+
+
+def _reads(e, ctx: _Round) -> tuple:
+    """Whether expression ``e`` reads a variable outside every ``rank()``,
+    and whether it reads a ``rank()``, walked once per node per run.  One
+    that reads no such variable is slice-constant: its value is the same on
+    every state of a slice.  A node the walk does not know reads both, so
+    it is evaluated per state, where the interpreter rejects it."""
+    reads = ctx.reads.get(id(e))
+    if reads is None:
+        state = rank = False
+        pending = [e]
+        while pending:
+            node = pending.pop()
+            t = type(node)  # nodes are final
+            if t is BinOp or t is Cmp or t is And or t is Or:
+                pending += (node.left, node.right)
+            elif t is Var:
+                state = True
+                pending += node.indices
+            elif t is RankOf:
+                rank = True
+            elif t is Not:
+                pending.append(node.operand)
+            elif t is not IntLit:
+                state = rank = True
+        reads = ctx.reads[id(e)] = (state, rank)
+    return reads
+
+
+def _constant(e, p: _Partial, ctx: _Round) -> bool:
+    """Whether a step on ``p`` evaluates ``e`` once, not once per state: when
+    ``e`` is slice-constant and ``p`` holds at least ``_COMPILE_AT`` states.
+    On a narrower slice the walk that tells costs more than it saves."""
+    return len(p.entries) >= _COMPILE_AT and not _reads(e, ctx)[0]
 
 
 # -- compiled expressions ------------------------------------------------------
@@ -525,10 +572,12 @@ def _run_slice(run, part: dict, offset: int, p: _Partial, pos, ctx: _Round) -> t
 
 
 def _branch(
-    test, then_run, else_run, p: _Partial, pos, ctx: _Round, iteration: int = 0
+    test, then_run, else_run, p: _Partial, pos, ctx: _Round, iteration=0, constant=False
 ):
     """One conditional step, of an ``if`` or a loop: ``test`` each state
-    once, run each branch body on its slice and merge.
+    once, run each branch body on its slice and merge.  A ``constant`` test,
+    one that reads no state, is tested on the first state alone, and all of
+    ``p`` takes its side.
 
     A loop passes no ``else_run`` and the number of the iteration this step
     would run: the states that fail its guard pass through unchanged, the
@@ -537,13 +586,21 @@ def _branch(
     """
     sats: dict[tuple, int] = {}
     fails: dict[tuple, int] = {}
-    for sigma, rank in p.entries.items():
+    entries = p.entries.items()
+    if constant:
+        entries = itertools.islice(entries, 1)
+    for sigma, rank in entries:
         if not test(sigma):
             fails[sigma] = rank
         else:
             if iteration > ctx.iteration_limit and not sats:
                 raise EvalError("iteration-limit", pos)
             sats[sigma] = rank
+    if constant:
+        if sats:
+            sats = p.entries
+        else:
+            fails = p.entries
     contributions = []
     if sats:
         contributions.append(_run_slice(then_run, sats, 0, p, pos, ctx))
@@ -557,14 +614,21 @@ def _branch(
     return _merge(contributions, p, ctx)
 
 
-def _choice(left: _Partial, offset, run, p: _Partial, pos, ctx: _Round) -> _Partial:
+def _choice(
+    left: _Partial, offset, run, p: _Partial, pos, ctx: _Round, constant: bool
+) -> _Partial:
     """A ranked choice on ``p``: merge ``left``, the first alternative's
     posterior, with ``run`` on each group of ``p``'s states that share a
     penalty ``offset(sigma)``, in ascending order of the penalty; a state
-    whose penalty is infinite takes no second alternative."""
+    whose penalty is infinite takes no second alternative.  A ``constant``
+    offset, one that reads no state, is evaluated on the first state alone:
+    all of ``p`` then forms one group, or none at an infinite penalty."""
     contributions = [(left.entries, left.bound)]
     groups: dict[int, dict[tuple, int]] = {}
-    for sigma, rank in p.entries.items():
+    entries = p.entries.items()
+    if constant:
+        entries = itertools.islice(entries, 1)
+    for sigma, rank in entries:
         penalty = offset(sigma)
         if penalty is INF:
             continue
@@ -575,28 +639,14 @@ def _choice(left: _Partial, offset, run, p: _Partial, pos, ctx: _Round) -> _Part
                 "undefined-infinity-arith", pos, f"rank {penalty} out of range"
             )
         groups.setdefault(penalty, {})[sigma] = rank
+    if constant and groups:
+        groups = {penalty: p.entries}
     for penalty, part in sorted(groups.items()):
         contributions.append(_run_slice(run, part, penalty, p, pos, ctx))
     return _merge(contributions, p, ctx)
 
 
 # -- graded observations -------------------------------------------------------
-
-
-def _reads_rank(e) -> bool:
-    """Whether expression ``e`` contains a ``rank()``."""
-    pending = [e]
-    while pending:
-        e = pending.pop()
-        if isinstance(e, RankOf):
-            return True
-        if isinstance(e, Not):
-            pending.append(e.operand)
-        elif isinstance(e, Var):
-            pending.extend(e.indices)
-        elif not isinstance(e, IntLit):
-            pending += (e.left, e.right)
-    return False
 
 
 def _observe_graded(s, p: _Partial, ctx: _Round) -> _Partial:
@@ -620,7 +670,8 @@ def _observe_graded(s, p: _Partial, ctx: _Round) -> _Partial:
                 "condition and its negation must both have finite rank",
             )
         raise _InsufficientBudget
-    reads_rank = _reads_rank(s.cond)
+    reads_rank = _reads(s.cond, ctx)[1]
+    constant = _constant(s.strength, p, ctx)
 
     def split(q, holds):
         """The entries of ``q``, of ``p`` or of a slice, where the condition
@@ -664,7 +715,7 @@ def _observe_graded(s, p: _Partial, ctx: _Round) -> _Partial:
 
         def observe_not_c(part, ctx):
             return _normalized(split(part, not holds)[0], part.bound, part.slots)
-        return _choice(left, offset, observe_not_c, q, s.pos, ctx)
+        return _choice(left, offset, observe_not_c, q, s.pos, ctx, constant)
 
     if isinstance(s, ObserveJ):
         return revise(True, p, ctx)
@@ -677,6 +728,7 @@ def _observe_graded(s, p: _Partial, ctx: _Round) -> _Partial:
         p,
         s.pos,
         ctx,
+        constant=constant,
     )
 
 
@@ -746,6 +798,7 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
                 p,
                 s.pos,
                 ctx,
+                constant=_constant(s.cond, p, ctx),
             )
 
         if isinstance(s, RankedChoice):
@@ -757,6 +810,7 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
                 p,
                 s.pos,
                 ctx,
+                _constant(s.rank, p, ctx),
             )
 
         if isinstance(s, While):
@@ -766,7 +820,10 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
                 iteration += 1
                 holds = _evaluator(s.cond, BoolExpr, p, ctx.compiled)
                 guard = lambda sigma: holds(sigma, p, s.cond)
-                stepped = _branch(guard, body, None, p, s.pos, ctx, iteration)
+                constant = _constant(s.cond, p, ctx)
+                stepped = _branch(
+                    guard, body, None, p, s.pos, ctx, iteration, constant
+                )
                 if stepped is None:
                     # nothing visible satisfies the guard; hidden states churn
                     # strictly above the bound and never disturb what is below it
@@ -803,7 +860,8 @@ def _proven(program: Stmt, prior: dict, opts: SearchOptions | None):
     ``max_outcomes`` still wanted; no round runs once they are out."""
     opts = opts or SearchOptions()
     start = _start(program, prior)
-    compiled = {}
+    compiled, reads = {}, {}
+    keys = [(name, ()) for name in start.slots]
     yielded = -1  # the outcomes ranked at or below this have been yielded
     wanted = opts.max_outcomes or INF  # how many more outcomes
     # with every outcome wanted, deepening would only replay the program;
@@ -812,7 +870,7 @@ def _proven(program: Stmt, prior: dict, opts: SearchOptions | None):
     budget = INF if unbounded else 0
     while True:
         ctx = _Round(budget, opts.max_while_iterations)
-        ctx.compiled = compiled
+        ctx.compiled, ctx.reads = compiled, reads
         try:
             # no step changes the ranking it reads: every round reuses start
             result = _denote(program, start, ctx)
@@ -829,7 +887,7 @@ def _proven(program: Stmt, prior: dict, opts: SearchOptions | None):
         # stay below RANK_LIMIT, and ints compare faster than INF
         top = RANK_LIMIT if trusted is INF else trusted
         fresh = [
-            (rank, _items(state, start.slots))
+            (rank, _items(state, keys))
             for state, rank in result.entries.items()
             if yielded < rank <= top
         ]

@@ -197,7 +197,7 @@ def format_binding(key) -> str:
 
 def format_bindings(items: tuple) -> str:
     """``name=value, ...`` for bindings given as ``Valuation.items``."""
-    return ", ".join(f"{format_binding(k)}={v}" for k, v in items)
+    return ", ".join([f"{format_binding(k) if k[1] else k[0]}={v}" for k, v in items])
 
 
 #: An event: a predicate over valuations, given either intensionally as a

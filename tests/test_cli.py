@@ -562,6 +562,23 @@ class TestRun:
         path.write_text("x := 1; é := 2;\n", encoding="utf-8")
         assert run_cli(["run", str(path), "--project", project]) == (0, expected, "")
 
+    @pytest.mark.parametrize(
+        "fmt, line",
+        [
+            ("text", "rank 0: a[0]=1, a[1]=2, b=0"),
+            ("records", '{"bindings": {"a[0]": 1, "a[1]": 2, "b": 0}, "rank": 0}'),
+        ],
+    )
+    def test_projection_fills_an_unbound_name_beside_an_array(
+        self, tmp_path, fmt, line
+    ):
+        # a's two elements make as many bindings as there are projected
+        # names, and b, which nothing binds, still shows as 0
+        path = tmp_path / "a.rpl"
+        path.write_text("a[0] := 1; a[1] := 2;\n")
+        argv = ["run", str(path), "--project", "a,b", "--format", fmt]
+        assert run_cli(argv) == (0, line + "\n", "")
+
     def test_empty_projection_of_skip(self, tmp_path):
         path = tmp_path / "skip.rpl"
         path.write_text("skip;\n")

@@ -79,6 +79,12 @@ class TestEnumerate:
         got = outcomes(INTRO, max_outcomes=1)
         assert got == [Outcome(Valuation({"x": 10, "y": 1}), 0)]
 
+    def test_an_outcome_is_a_named_pair(self):
+        outcome = Outcome(Valuation({"x": 1}), 2)
+        assert repr(outcome) == "Outcome(valuation=Valuation(x=1), rank=2)"
+        assert outcome == (Valuation({"x": 1}), 2)
+        assert (outcome.valuation, outcome.rank) == outcome
+
     def test_budget_zero_round_never_materializes_alternatives(self):
         program = parse_program(INTRO)
         round0 = _Round(0, 10000)
@@ -700,6 +706,27 @@ class TestRankOfOncePerRanking:
             assert calls < 3 * self.N
 
 
+#: prior ranges below and above ``_COMPILE_AT`` states (12 and 140 of them),
+#: so that a slice-constant expression runs per state on the first and once
+#: per step on the second
+WIDTHS = (5, rankpl.engine._COMPILE_AT + 5)
+PRIOR = "x := any_of(0 .. {width}); y := 0 or(1) 1;\n"
+#: graded observations run after ``PRIOR``: slice-constant strengths, and
+#: strengths that read y, which stay per state on either width
+STRENGTHS = {
+    "literal-strength-j": "observeJ(2, x % 3 == 0);",
+    # rank(b) = 1 <= 2 takes observeL's guard, 1 > 0 its other side
+    "literal-strength-l": "observeL(2, x % 3 == 0 && y == 1);",
+    "literal-strength-flipped-l": "observeL(0, x % 3 == 0 && y == 1);",
+    "rank-strength-j": "observeJ(rank(y == 1) + 1, x % 2 == 0);",
+    "rank-strength-l": "observeL(rank(y == 1), x % 2 == 0 && y == 0);",
+    "negative-strength-j": "observeJ(0 - 1, x == 0);",
+    "y-strength-j": "observeJ(y + 1, x % 3 == 0);",
+    # the y = 0 states take the guard's other side
+    "y-strength-l": "observeL(2 * y, x % 3 == 0 && y == 1);",
+}
+
+
 class TestGradedObservations:
     """observeJ/observeL run natively as the steps of their lowering.  The
     oracle runs that lowering (through ``desugar``), so it is the reference:
@@ -739,6 +766,11 @@ class TestGradedObservations:
         # rank(b) = 2: the x < 2 states take the flipped slice
         "strength-per-state-flipped-l": "x := any_of(0 .. 2); y := 0 or(2) 1; "
         "observeL(x, y == 1);",
+        **{
+            f"{name}-{width}": PRIOR.format(width=width) + body
+            for name, body in STRENGTHS.items()
+            for width in WIDTHS
+        },
     }
 
     @staticmethod
@@ -780,6 +812,108 @@ class TestGradedObservations:
                 expected = {v: r for v, r in exact.items() if r <= opts.max_rank}
             # the native steps deepen in the lowering's rounds
             assert bounded(program) == (expected, rounds)
+
+
+class TestSliceConstants:
+    """Expressions that read no variable outside a ``rank()``: a step on a
+    slice of ``_COMPILE_AT`` states or more evaluates them once, on its
+    first state, and a narrower step once per state.  At both widths a run
+    matches the oracle, exact and at max_rank 0-2, in the pinned rounds, or
+    fails with the same error at the same position."""
+
+    #: each body, run after ``PRIOR``, and the budgets of its rounds at
+    #: max_rank 0, 1 and 2
+    SOURCES = {
+        "literal-offset": (
+            "either { skip; } or (2) { x := x + 100; };",
+            [0], [0, 1], [0, 1, 3],
+        ),
+        "rank-offset": (
+            "either { skip; } or (rank(x == 1) + 1) { x := x + 100; };",
+            [0], [0, 1], [0, 1, 3],
+        ),
+        # the y = 1 states hide above budget 0, so that round deepens
+        "hidden-rank-offset": (
+            "either { skip; } or (rank(y == 1) + 1) { x := x + 100; };",
+            [0, 1], [0, 1], [0, 1, 3],
+        ),
+        "true-if": (
+            "if 1 < 2 then { x := x + 100 or(2) x; } else { x := 0; };",
+            [0], [0, 1], [0, 1, 3],
+        ),
+        "false-if": (
+            "if 2 < 1 then { x := x + 100; } else { x := 0 or(2) x; };",
+            [0], [0, 1], [0, 1, 3],
+        ),
+        # one value per step: true on the prior, false after one iteration
+        "rank-while": (
+            "while rank(x == 0) < 1 do { x := x + 1 or(2) x + 2; };",
+            [0, 1, 3], [0, 1, 3], [0, 1, 3],
+        ),
+    }  # fmt: skip
+
+    #: each body, run after ``PRIOR``, its error, the column on line 2 of the
+    #: statement that raises it, the least max_rank whose run reaches it, and
+    #: the budgets of the rounds at max_rank 0, 1 and 2
+    ERRORS = {
+        "negative-offset": (
+            "either { skip; } or (0 - 1) { skip; };",
+            "negative-choice-rank", 1, 0, [0], [0], [0],
+        ),
+        "negative-strength": (
+            "observeJ(0 - 1, x == 0);",
+            "negative-choice-rank", 1, 0, [0], [0], [0],
+        ),
+        "endless-loop": (
+            "while 1 < 2 do { skip; };",
+            "iteration-limit", 1, 0, [0], [0], [0],
+        ),
+        "late-negative-offset": (
+            "either { skip; } or (2) { either { skip; } or (0 - 1) { skip; }; };",
+            "negative-choice-rank", 27, 2, [0], [0, 1], [0, 1, 3],
+        ),
+        "late-endless-loop": (
+            "either { skip; } or (1) { while 1 < 2 do { skip; }; };",
+            "iteration-limit", 27, 1, [0], [0, 1], [0, 1],
+        ),
+    }  # fmt: skip
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("name", SOURCES)
+    def test_runs_as_the_oracle(self, monkeypatch, name, width):
+        body, *rounds = self.SOURCES[name]
+        program = parse_program(PRIOR.format(width=width) + body)
+        exact = oracle_ranking(program)
+        assert run_program(program) == exact
+        budgets = record_budgets(monkeypatch)
+        for cap, pinned in enumerate(rounds):
+            budgets.clear()
+            got = collect(enumerate_outcomes(program, SearchOptions(max_rank=cap)))
+            assert got == Ranking({v: r for v, r in exact.items() if r <= cap})
+            assert budgets == pinned
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("name", ERRORS)
+    def test_fails_where_each_state_would(self, monkeypatch, name, width):
+        body, kind, column, reached, *rounds = self.ERRORS[name]
+        program = parse_program(PRIOR.format(width=width) + body)
+        error = (kind, (2, column))
+        if kind != "iteration-limit":  # the oracle knows no iteration limit
+            assert _oracle_or_abort(program) == kind
+
+        def run(**limits):
+            opts = SearchOptions(max_while_iterations=50, **limits)
+            try:
+                list(enumerate_outcomes(program, opts))
+            except EvalError as err:
+                return err.kind, err.pos
+
+        assert run() == error
+        budgets = record_budgets(monkeypatch)
+        for cap, pinned in enumerate(rounds):
+            budgets.clear()
+            assert run(max_rank=cap) == (error if cap >= reached else None)
+            assert budgets == pinned
 
 
 class TestBoundedDenote:
