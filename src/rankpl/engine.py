@@ -11,19 +11,23 @@ infinity arithmetic, runaway loops) abort the run.
 budget-truncated ranking.  The parser has already built ``if … then`` and
 ``x := e1 or(e) e2`` as core statements; the sugar left, ``any_of`` and
 ``observeJ``/``observeL``, runs as it is, and nothing builds a syntax node at
-run time.  A conditional and a loop iteration are one branching step: the
-guard is tested once per state, and each slice runs renormalized and is
-lifted back into one merge, as each group of a ranked choice's penalized
-alternative is.  The branching step, the slice step and the grouping of a
-choice by penalty take the branch body as a callable, so ``observeJ`` and
-``observeL`` run as the steps of their lowering (see ``syntax.desugar``)
-without building it: each ranked choice of a lowering is one revision step,
-and observeL's ``if rank(b) <= n`` is one branching step between two of
-them, all inside ``_observe_graded``.  Both test their condition once per
-state.  At an infinite budget nothing is pruned and the result is exact.
+run time.  A conditional, a loop iteration, a ranked choice and a graded
+observation partition their slice in one step, ``_split``: it groups the
+states by a key computed once per state, a guard's truth, a choice's penalty
+or an observation's condition, and each group runs renormalized and is
+lifted back at its rank into one merge (``_run_slice``, ``_merge``).  A loop
+splits on its guard once per iteration, and the states that fail it leave
+the loop; a choice runs its penalized alternative on each group of finite
+penalty, in ascending order.  The steps take the branch body as a callable,
+so ``observeJ`` and ``observeL`` run as the steps of their lowering (see
+``syntax.desugar``) without building it: each ranked choice of a lowering is
+one revision step, and observeL's ``if rank(b) <= n`` is one branching step
+between two of them, all inside ``_observe_graded``, which splits its prior
+on the condition once.  At an infinite budget nothing is pruned and the
+result is exact.
 
 Each evaluation site (an observation, a guard, a choice offset, an assigned
-value, a graded observation's truth table, a ``rank(b)`` scan) evaluates its
+value, a graded observation's condition, a ``rank(b)`` scan) evaluates its
 expression on every state of its slice.  Once the slice holds
 ``_COMPILE_AT`` states, the expression is compiled to a Python function,
 once per run, and evaluated through it; a narrower site calls
@@ -33,10 +37,9 @@ Trees too deep for CPython to compile stay interpreted.  On a slice of
 no variable outside a ``rank()`` (see ``_reads``), is evaluated once per
 step, on the slice's first state, where the per-state loop would evaluate
 it first: a choice offset, a graded observation's strength and observeL's
-guard, and an ``if`` or ``while`` guard.  Its error and the round that
-deepens stay the same; a choice forms one group, the slice itself, and a
-branching step sends the whole slice to one side.  No option sets any of
-this.
+guard, and an ``if`` or ``while`` guard.  ``_split`` alone holds this: the
+whole slice forms the one group of that value, and the error and the round
+that deepens stay those of the per-state loop.  No option sets any of this.
 A site names the kind of expression it wants, condition or number, and a
 hand-built tree that holds the other kind there raises ``TypeError``.
 
@@ -79,7 +82,6 @@ CLI each rank's projected lines.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -571,46 +573,32 @@ def _run_slice(run, part: dict, offset: int, p: _Partial, pos, ctx: _Round) -> t
     return entries, result.bound + lift
 
 
-def _branch(
-    test, then_run, else_run, p: _Partial, pos, ctx: _Round, iteration=0, constant=False
-):
-    """One conditional step, of an ``if`` or a loop: ``test`` each state
-    once, run each branch body on its slice and merge.  A ``constant`` test,
-    one that reads no state, is tested on the first state alone, and all of
-    ``p`` takes its side.
+def _split(p: _Partial, key, constant: bool) -> dict:
+    """The entries of ``p`` grouped by ``key(sigma)``, each group a dict of
+    states to ranks, keyed in the order their first states arrive.  A
+    ``constant`` key, one that reads no state, is computed on the first state
+    alone, and all of ``p`` forms its group."""
+    entries = p.entries
+    if constant:
+        return {key(next(iter(entries))): entries}
+    groups: dict = {}
+    for sigma, rank in entries.items():
+        k = key(sigma)
+        try:
+            groups[k][sigma] = rank
+        except KeyError:
+            groups[k] = {sigma: rank}
+    return groups
 
-    A loop passes no ``else_run`` and the number of the iteration this step
-    would run: the states that fail its guard pass through unchanged, the
-    iteration limit is checked at the first state that satisfies it, and
-    the step returns None when no state does.
-    """
-    sats: dict[tuple, int] = {}
-    fails: dict[tuple, int] = {}
-    entries = p.entries.items()
-    if constant:
-        entries = itertools.islice(entries, 1)
-    for sigma, rank in entries:
-        if not test(sigma):
-            fails[sigma] = rank
-        else:
-            if iteration > ctx.iteration_limit and not sats:
-                raise EvalError("iteration-limit", pos)
-            sats[sigma] = rank
-    if constant:
-        if sats:
-            sats = p.entries
-        else:
-            fails = p.entries
+
+def _branch(test, then_run, else_run, p: _Partial, pos, ctx: _Round, constant: bool):
+    """One conditional step: split ``p`` on ``test``, run ``then_run`` on the
+    side that passes and ``else_run`` on the side that fails, and merge."""
+    sides = _split(p, test, constant)
     contributions = []
-    if sats:
-        contributions.append(_run_slice(then_run, sats, 0, p, pos, ctx))
-    elif else_run is None:
-        return None
-    if fails:
-        if else_run is None:
-            contributions.append((fails, p.bound))
-        else:
-            contributions.append(_run_slice(else_run, fails, 0, p, pos, ctx))
+    for side, run in (True, then_run), (False, else_run):
+        if side in sides:
+            contributions.append(_run_slice(run, sides[side], 0, p, pos, ctx))
     return _merge(contributions, p, ctx)
 
 
@@ -619,30 +607,26 @@ def _choice(
 ) -> _Partial:
     """A ranked choice on ``p``: merge ``left``, the first alternative's
     posterior, with ``run`` on each group of ``p``'s states that share a
-    penalty ``offset(sigma)``, in ascending order of the penalty; a state
-    whose penalty is infinite takes no second alternative.  A ``constant``
-    offset, one that reads no state, is evaluated on the first state alone:
-    all of ``p`` then forms one group, or none at an infinite penalty."""
+    penalty ``offset(sigma)``, in ascending order of the penalty; the group
+    whose penalty is infinite takes no second alternative.  The penalty is
+    checked as each state meets it, so the first state with a negative or
+    overflowing one raises."""
+
+    def penalty(sigma):
+        k = offset(sigma)
+        if k is INF:
+            return k
+        if k < 0:
+            raise EvalError("negative-choice-rank", pos, f"rank {k}")
+        if k >= RANK_LIMIT:
+            raise EvalError("undefined-infinity-arith", pos, f"rank {k} out of range")
+        return k
+
+    groups = _split(p, penalty, constant)
+    groups.pop(INF, None)
     contributions = [(left.entries, left.bound)]
-    groups: dict[int, dict[tuple, int]] = {}
-    entries = p.entries.items()
-    if constant:
-        entries = itertools.islice(entries, 1)
-    for sigma, rank in entries:
-        penalty = offset(sigma)
-        if penalty is INF:
-            continue
-        if penalty < 0:
-            raise EvalError("negative-choice-rank", pos, f"rank {penalty}")
-        if penalty >= RANK_LIMIT:
-            raise EvalError(
-                "undefined-infinity-arith", pos, f"rank {penalty} out of range"
-            )
-        groups.setdefault(penalty, {})[sigma] = rank
-    if constant and groups:
-        groups = {penalty: p.entries}
-    for penalty, part in sorted(groups.items()):
-        contributions.append(_run_slice(run, part, penalty, p, pos, ctx))
+    for k in sorted(groups):
+        contributions.append(_run_slice(run, groups[k], k, p, pos, ctx))
     return _merge(contributions, p, ctx)
 
 
@@ -653,16 +637,16 @@ def _observe_graded(s, p: _Partial, ctx: _Round) -> _Partial:
     """observeJ(n, b) or observeL(n, b) on ``p``, as the steps of its
     lowering (``syntax.expand_observe_j``/``expand_observe_l``) in their
     order, so the slices, rounds, errors and their positions are the
-    lowering's.  The condition is tested once per state of ``p``, and that
-    truth table serves the precondition (b and !b both have finite rank),
-    every split and every rank(b) or rank(!b); a condition that reads rank()
-    reads the ranking it is tested against, so each slice tests it afresh."""
+    lowering's.  ``p`` is split once on the condition, and that split serves
+    the precondition (b and !b both have finite rank), rank(b), and every
+    revision step whose slice is ``p`` itself.  A later slice is split on
+    membership in b's side of ``p``, or tested afresh when the condition
+    reads rank(), as it then reads the ranking it is tested against."""
     if not isinstance(s.strength, NumExpr):
         raise TypeError(f"not a NumExpr: {s.strength!r}")
     holds = _evaluator(s.cond, BoolExpr, p, ctx.compiled)
-    truth = {sigma: holds(sigma, p, s.cond) for sigma in p.entries}
-    holders = sum(truth.values())
-    if holders == 0 or holders == len(truth):
+    sides = _split(p, lambda sigma: holds(sigma, p, s.cond), False)
+    if len(sides) < 2:
         if p.bound is INF:
             raise EvalError(
                 "j-or-l-precondition",
@@ -670,29 +654,25 @@ def _observe_graded(s, p: _Partial, ctx: _Round) -> _Partial:
                 "condition and its negation must both have finite rank",
             )
         raise _InsufficientBudget
+    true_side = sides[True]
     reads_rank = _reads(s.cond, ctx)[1]
     constant = _constant(s.strength, p, ctx)
 
-    def split(q, holds):
-        """The entries of ``q``, of ``p`` or of a slice, where the condition
-        is ``holds``, and the rest."""
-        if q is p or not reads_rank:
-            table = truth
-        else:
-            test = _evaluator(s.cond, BoolExpr, q, ctx.compiled)
-            table = {sigma: test(sigma, q, s.cond) for sigma in q.entries}
-        kept, rest = {}, {}
-        for sigma, rank in q.entries.items():
-            if table[sigma] == holds:
-                kept[sigma] = rank
-            else:
-                rest[sigma] = rank
-        return kept, rest
+    def split(q):
+        """The entries of ``q``, ``p`` or a slice, keyed on whether the
+        condition holds."""
+        if q is p:
+            return sides
+        if not reads_rank:
+            return _split(q, true_side.__contains__, False)
+        test = _evaluator(s.cond, BoolExpr, q, ctx.compiled)
+        return _split(q, lambda sigma: test(sigma, q, s.cond), False)
 
     def revise(holds, q, ctx):
         """``either { observe c } or (k) { observe !c }`` on ``q``, where c is
         the condition (``holds``) or its negation; k reads n against ``q``."""
-        kept, rest = split(q, holds)
+        q_sides = split(q)
+        kept, rest = q_sides.get(holds, {}), q_sides.get(not holds, {})
         left = _normalized(kept, q.bound, q.slots)
         # rank(c) and rank(!c) in q: None where no state of the event is
         # visible and one may hide above q's finite bound
@@ -714,13 +694,14 @@ def _observe_graded(s, p: _Partial, ctx: _Round) -> _Partial:
                 return _minus(rank_not_c, _eval_num(sigma, q, s.strength), s.pos)
 
         def observe_not_c(part, ctx):
-            return _normalized(split(part, not holds)[0], part.bound, part.slots)
+            kept = split(part).get(not holds, {})
+            return _normalized(kept, part.bound, part.slots)
         return _choice(left, offset, observe_not_c, q, s.pos, ctx, constant)
 
     if isinstance(s, ObserveJ):
         return revise(True, p, ctx)
     # if rank(b) <= n then { revise(b) } else { revise(!b) }
-    rank_b = min(rank for sigma, rank in p.entries.items() if truth[sigma])
+    rank_b = min(true_side.values())
     return _branch(
         lambda sigma: rank_b <= _eval_num(sigma, p, s.strength),
         functools.partial(revise, True),
@@ -728,7 +709,7 @@ def _observe_graded(s, p: _Partial, ctx: _Round) -> _Partial:
         p,
         s.pos,
         ctx,
-        constant=constant,
+        constant,
     )
 
 
@@ -819,16 +800,23 @@ def _denote(s: Stmt, p: _Partial, ctx: _Round) -> _Partial:
             while True:
                 iteration += 1
                 holds = _evaluator(s.cond, BoolExpr, p, ctx.compiled)
-                guard = lambda sigma: holds(sigma, p, s.cond)
-                constant = _constant(s.cond, p, ctx)
-                stepped = _branch(
-                    guard, body, None, p, s.pos, ctx, iteration, constant
-                )
-                if stepped is None:
+                if iteration > ctx.iteration_limit:
+                    def guard(sigma):
+                        if holds(sigma, p, s.cond):
+                            raise EvalError("iteration-limit", s.pos)
+                        return False
+                else:
+                    guard = lambda sigma: holds(sigma, p, s.cond)
+                sides = _split(p, guard, _constant(s.cond, p, ctx))
+                if True not in sides:
                     # nothing visible satisfies the guard; hidden states churn
                     # strictly above the bound and never disturb what is below it
                     return p
-                p = stepped
+                contributions = [_run_slice(body, sides[True], 0, p, s.pos, ctx)]
+                if False in sides:
+                    # the states that fail the guard leave the loop as they are
+                    contributions.append((sides[False], p.bound))
+                p = _merge(contributions, p, ctx)
 
         if isinstance(s, (ObserveJ, ObserveL)):
             return _observe_graded(s, p, ctx)

@@ -100,12 +100,14 @@ def random_program(rng, depth=4):
 # parser builds for if-then and x := a or(k) b.
 
 
-def _sugar_cond(rng):
+def random_condition(rng):
+    """A condition over the general-purpose variables, with the sugar ``&&``
+    and ``<=``; it reads no ``rank()``."""
     pick = rng.random()
     if pick < 0.3:
         return Cmp("<=", Var(rng.choice(VARS)), IntLit(rng.randrange(-1, 5)))
     if pick < 0.5:
-        return And(_cond(rng), _sugar_cond(rng))
+        return And(_cond(rng), random_condition(rng))
     return _cond(rng)
 
 
@@ -115,7 +117,7 @@ def _sugar_offset(rng):
         return IntLit(rng.randrange(0, 4))
     if pick < 0.8:
         return Var(rng.choice(PENALTY_VARS))
-    return RankOf(_sugar_cond(rng))
+    return RankOf(random_condition(rng))
 
 
 def _observe_graded(rng):
@@ -153,7 +155,7 @@ def _sugar_statement(rng, depth):
             return UniformPick(rng.choice(VARS), (), lower, lower + rng.randrange(0, 3))
         return Assign(rng.choice(VARS), (), _num(rng))
     if pick < 0.4:
-        return Observe(_sugar_cond(rng))
+        return Observe(random_condition(rng))
     if pick < 0.55:
         return _observe_graded(rng)
     if pick < 0.7:
@@ -161,10 +163,9 @@ def _sugar_statement(rng, depth):
         return RankedChoice(first, _sugar_offset(rng), _sugar_block(rng, depth - 1))
     if pick < 0.85:
         # if b then { s }, which the parser builds with an else { skip }
-        return IfThenElse(_sugar_cond(rng), _sugar_block(rng, depth - 1), Skip())
-    return IfThenElse(
-        _sugar_cond(rng), _sugar_block(rng, depth - 1), _sugar_block(rng, depth - 1)
-    )
+        return IfThenElse(random_condition(rng), _sugar_block(rng, depth - 1), Skip())
+    cond = random_condition(rng)
+    return IfThenElse(cond, _sugar_block(rng, depth - 1), _sugar_block(rng, depth - 1))
 
 
 def _sugar_block(rng, depth):

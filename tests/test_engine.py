@@ -1023,6 +1023,34 @@ class TestStateLayout:
                 ({("y", ()): 2}, 0),
             ]
 
+
+#: a prior of ``_COMPILE_AT`` states, so that a step after it evaluates
+#: compiled
+WIDE_PRIOR = f"w := any_of(1 .. {rankpl.engine._COMPILE_AT});\n"
+
+
+def _errors(source, limit=10000):
+    """The error kind and position of an exact run of ``source``, of its
+    enumeration and of its enumeration at max_rank 0."""
+    program = parse_program(source)
+    errors = []
+    for run in (
+        lambda: run_program(program, SearchOptions(max_while_iterations=limit)),
+        lambda: list(
+            enumerate_outcomes(program, SearchOptions(max_while_iterations=limit))
+        ),
+        lambda: list(
+            enumerate_outcomes(
+                program, SearchOptions(max_rank=0, max_while_iterations=limit)
+            )
+        ),
+    ):
+        with pytest.raises(EvalError) as err:
+            run()
+        errors.append((err.value.kind, err.value.pos))
+    return errors
+
+
 class TestWhileStep:
     """A loop tests its guard once per state per iteration, and checks the
     iteration limit at the first state that satisfies it."""
@@ -1043,35 +1071,30 @@ class TestWhileStep:
 
     SOURCE = "x := 0; while x == 0 || 1 / (x - 1) == 0 do { x := 0 or(1) 1; };"
 
-    def run_all(self, limit):
-        program = parse_program(self.SOURCE)
-        errors = []
-        for run in (
-            lambda: run_program(program, SearchOptions(max_while_iterations=limit)),
-            lambda: list(
-                enumerate_outcomes(program, SearchOptions(max_while_iterations=limit))
-            ),
-            lambda: list(
-                enumerate_outcomes(
-                    program, SearchOptions(max_rank=0, max_while_iterations=limit)
-                )
-            ),
-        ):
-            with pytest.raises(EvalError) as err:
-                run()
-            errors.append((err.value.kind, err.value.pos))
-        return errors
-
     def test_iteration_limit_comes_before_later_guard_errors(self):
         # the second iteration's first state, x = 0, satisfies the guard; the
-        # state x = 1 after it would divide by zero in the guard
-        assert self.run_all(1) == [("iteration-limit", (1, 9))] * 3
-        assert self.run_all(2) == [
-            ("division-by-zero", (1, 27)),
-            ("division-by-zero", (1, 27)),
-            # at budget 0 the state x = 1 is pruned, and x = 0 loops on
-            ("iteration-limit", (1, 9)),
-        ]
+        # state x = 1 after it would divide by zero in the guard.  Behind the
+        # wide prior the guard runs compiled, on 64 states and then 128
+        for prior in ("", WIDE_PRIOR):
+            line = 1 + prior.count("\n")
+            source = prior + self.SOURCE
+            assert _errors(source, 1) == [("iteration-limit", (line, 9))] * 3
+            assert _errors(source, 2) == [
+                ("division-by-zero", (line, 27)),
+                ("division-by-zero", (line, 27)),
+                # at budget 0 the state x = 1 is pruned, and x = 0 loops on
+                ("iteration-limit", (line, 9)),
+            ]
+
+
+def test_negative_penalty_comes_before_later_offset_errors():
+    # the first state, x = 0, takes the penalty 1 / 1 - 2 = -1; the state
+    # x = 1 after it would divide by zero in the offset.  Behind the wide
+    # prior the offset runs compiled, on 128 states
+    source = "x := 0 or(1) 1; either { skip; } or (1 / (1 - x) - 2) { skip; };"
+    for prior in ("", WIDE_PRIOR):
+        line = 1 + prior.count("\n")
+        assert _errors(prior + source) == [("negative-choice-rank", (line, 17))] * 3
 
 
 #: one program per runtime error kind; each raises in its rank-0 state, at

@@ -23,7 +23,6 @@ PINNED = {
     "functools",
     "itertools",
     "json",
-    "operator",
     "re",
     "sys",
     "typing",
